@@ -339,13 +339,6 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // --batch / --no-batch override the MLTC_BATCH process default
-    // (docs/batched_access.md); outputs are identical either way.
-    if (cli.has("no-batch"))
-        setBatchedAccess(false);
-    else if (cli.has("batch"))
-        setBatchedAccess(cli.getFlag("batch"));
-
     if (cli.has("streams")) {
         try {
             return runMultiStream(cli);

@@ -76,12 +76,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "%s\n", e.error().describe().c_str());
         return 1;
     }
-    // --batch / --no-batch override the MLTC_BATCH process default
-    // (docs/batched_access.md); outputs are identical either way.
-    if (cli.has("no-batch"))
-        setBatchedAccess(false);
-    else if (cli.has("batch"))
-        setBatchedAccess(cli.getFlag("batch"));
     const std::string name = cli.getString("workload", "village");
     const int frames = static_cast<int>(cli.getInt("frames", 8));
     const std::string path = cli.getString("trace", "/tmp/mltc_clip.bin");

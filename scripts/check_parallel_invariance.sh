@@ -54,32 +54,6 @@ for snap in "$WORK"/e1/ckpt.snap.leg*; do
     fi
 done
 
-# Cross-mode leg: the batched access path (docs/batched_access.md) at
-# jobs=8 against the scalar path at jobs=1 — one diff proving batch
-# equivalence and thread invariance compose. Subshells keep the
-# MLTC_BATCH override out of the other legs.
-echo "== cache_explorer --sweep l2 (batched jobs 8 vs scalar jobs 1) =="
-( export MLTC_BATCH=0; explorer 1 "$WORK/s1" )
-( export MLTC_BATCH=1; explorer 8 "$WORK/s8" )
-for f in stdout.txt run.jsonl mrc.csv mrc.ws.csv mrc.json heat.json \
-         ckpt.snap.manifest; do
-    if ! normalize "$WORK/s1/$f" "$WORK/s1" > "$WORK/a" || \
-       ! normalize "$WORK/s8/$f" "$WORK/s8" > "$WORK/b"; then
-        echo "FAIL: missing artifact $f"; fail=1; continue
-    fi
-    if ! diff -u "$WORK/a" "$WORK/b" > /dev/null; then
-        echo "FAIL: $f differs between scalar jobs=1 and batched jobs=8"
-        diff -u "$WORK/a" "$WORK/b" | head -20
-        fail=1
-    fi
-done
-for snap in "$WORK"/s1/ckpt.snap.leg*; do
-    if ! cmp -s "$snap" "$WORK/s8/$(basename "$snap")"; then
-        echo "FAIL: cross-mode snapshot $(basename "$snap") differs"
-        fail=1
-    fi
-done
-
 multistream() { # jobs outdir
     mkdir -p "$2"
     "$BUILD/examples/cache_explorer" --streams 4 --rounds 3 \
@@ -104,25 +78,6 @@ for f in stdout.txt run.jsonl ms.stream0.csv ms.stream1.csv \
     fi
     if ! diff -u "$WORK/a" "$WORK/b" > /dev/null; then
         echo "FAIL: multi-stream $f differs between jobs=1 and jobs=8"
-        fail=1
-    fi
-done
-
-echo "== cache_explorer --streams 4 (batched vs scalar) =="
-( export MLTC_BATCH=0; multistream 1 "$WORK/t1" )
-( export MLTC_BATCH=1; multistream 8 "$WORK/t8" )
-if ! cmp -s "$WORK/t1/ms.snap" "$WORK/t8/ms.snap"; then
-    echo "FAIL: multi-stream checkpoint differs between scalar and batched"
-    fail=1
-fi
-for f in stdout.txt run.jsonl ms.stream0.csv ms.stream1.csv \
-         ms.stream2.csv ms.stream3.csv; do
-    if ! normalize "$WORK/t1/$f" "$WORK/t1" > "$WORK/a" || \
-       ! normalize "$WORK/t8/$f" "$WORK/t8" > "$WORK/b"; then
-        echo "FAIL: missing artifact $f"; fail=1; continue
-    fi
-    if ! diff -u "$WORK/a" "$WORK/b" > /dev/null; then
-        echo "FAIL: multi-stream $f differs between scalar and batched"
         fail=1
     fi
 done

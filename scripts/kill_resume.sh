@@ -18,21 +18,17 @@ WORK="$(mktemp -d "${TMPDIR:-/tmp}/mltc_kill_resume.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT INT TERM
 
 run_leg() {
-    # $1 = leg name, $2... = extra bench flags. REF_BATCH / RUN_BATCH
-    # set MLTC_BATCH for the reference and the crash/resume runs
-    # respectively (empty = the binary's default, batched).
+    # $1 = leg name, $2... = extra bench flags.
     leg="$1"; shift
     mkdir -p "$WORK/$leg"
 
     echo "== [$leg] reference run =="
-    MLTC_BATCH="${REF_BATCH:-}" \
     MLTC_FRAMES="$FRAMES" MLTC_OUT_DIR="$WORK/$leg" \
         "$BENCH" "$@" >/dev/null
     cp "$WORK/$leg/tab03_avg_bandwidth.csv" "$WORK/$leg/reference.csv"
 
     echo "== [$leg] crash run (SIGKILL after 2nd checkpoint) =="
     status=0
-    MLTC_BATCH="${RUN_BATCH:-}" \
     MLTC_FRAMES="$FRAMES" MLTC_OUT_DIR="$WORK/$leg" \
         "$BENCH" "$@" \
         --checkpoint="$WORK/$leg/ckpt" --checkpoint-every=1 \
@@ -49,7 +45,6 @@ run_leg() {
     fi
 
     echo "== [$leg] resume run =="
-    MLTC_BATCH="${RUN_BATCH:-}" \
     MLTC_FRAMES="$FRAMES" MLTC_OUT_DIR="$WORK/$leg" \
         "$BENCH" "$@" \
         --checkpoint="$WORK/$leg/ckpt" --checkpoint-every=1 \
@@ -68,11 +63,5 @@ run_leg() {
 
 run_leg fault_free
 run_leg faulty --faults --fault-drop=0.1 --fault-corrupt=0.05
-# Cross-mode leg: scalar-mode reference against a batched-mode crash +
-# resume. The batched fast path (docs/batched_access.md) must reproduce
-# the scalar CSV byte-for-byte even across a SIGKILL/resume boundary —
-# spans are delivered whole between checkpoints, so no in-flight batch
-# state ever needs to round-trip through a snapshot.
-REF_BATCH=0 RUN_BATCH=1 run_leg cross_mode
 
 echo "kill_resume: PASS"

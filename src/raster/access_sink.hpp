@@ -21,14 +21,15 @@
 namespace mltc {
 
 /**
- * One element of a batched access stream: a lossless encoding of the
- * scalar sink events between two texture binds. Producers (sampler,
- * trace replay, multi-stream replay) buffer these a scanline (or a few
- * thousand events) at a time and hand the span to accessBatch(), paying
- * one virtual call and one observability-hook crossing per batch
- * instead of per texel. Pixel markers are recorded verbatim — never
- * deduplicated — so replaying a batch element-by-element through the
- * scalar entry points reproduces the exact scalar event sequence.
+ * One element of the access stream: a lossless encoding of the scalar
+ * sink events between two texture binds, and the only form in which
+ * producers (sampler, trace replay, multi-stream replay) hand texels to
+ * a sink. They buffer these a scanline (or a between-bind slice) at a
+ * time and hand the span to accessBatch(), paying one virtual call and
+ * one observability-hook crossing per batch instead of per texel. Pixel
+ * markers are recorded verbatim — never deduplicated — so replaying a
+ * batch element-by-element through the scalar entry points reproduces
+ * the exact scalar event sequence.
  */
 struct TexelRef
 {
@@ -66,18 +67,16 @@ struct TexelRef
 };
 
 /**
- * Process-wide batched-emission toggle. On (the default, overridable
- * with the MLTC_BATCH environment variable: "0"/"false"/"off" disable)
- * the rasterizer, trace replay and multi-stream replay buffer the
- * access stream into TexelRef spans and deliver it via accessBatch();
- * off they call the scalar entry points per event. Both modes are
- * byte-identical by contract (tests/test_batch_equivalence.cpp); the
- * toggle exists for differential testing and for bisecting perf.
+ * Always true: producers have no scalar emission mode. Kept only
+ * because the end-to-end benchmark driver (perfbench/e2e/main.cpp)
+ * calls it to refuse non-batched runs, and that driver is frozen with
+ * the benchmark contract.
  */
-bool batchedAccess();
-
-/** Override the batched-emission toggle (--batch / --no-batch). */
-void setBatchedAccess(bool on);
+inline bool
+batchedAccess()
+{
+    return true;
+}
 
 /** Receives the texel access stream from the rasterizer. */
 class TexelAccessSink

@@ -31,7 +31,6 @@ Rasterizer::renderFrame(const Scene &scene, const Camera &camera,
 {
     FrameStats stats;
     const uint64_t access_base = sampler_.accessCount();
-    sampler_.setBatching(batchedAccess());
 
     auto visible = scene.visibleObjects(camera.frustum());
     stats.objects_visible = visible.size();

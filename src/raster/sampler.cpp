@@ -59,12 +59,8 @@ TextureSampler::samplePoint(float u, float v, uint32_t m)
         std::floor(v * static_cast<float>(img.height())));
     uint32_t ux = static_cast<uint32_t>(x) & (img.width() - 1);
     uint32_t uy = static_cast<uint32_t>(y) & (img.height() - 1);
-    if (sink_) {
-        if (batching_)
-            push(TexelRef::texel(ux, uy, m));
-        else
-            sink_->access(ux, uy, m);
-    }
+    if (sink_)
+        push(TexelRef::texel(ux, uy, m));
     ++accesses_;
     return shading_ ? img.texel(ux, uy) : 0;
 }
@@ -86,12 +82,8 @@ TextureSampler::sampleBilinear(float u, float v, uint32_t m)
     uint32_t ux1 = static_cast<uint32_t>(x0 + 1) & mask_x;
     uint32_t uy1 = static_cast<uint32_t>(y0 + 1) & mask_y;
 
-    if (sink_) {
-        if (batching_)
-            push(TexelRef::quad(ux0, uy0, ux1, uy1, m));
-        else
-            sink_->accessQuad(ux0, uy0, ux1, uy1, m);
-    }
+    if (sink_)
+        push(TexelRef::quad(ux0, uy0, ux1, uy1, m));
     accesses_ += 4;
 
     if (!shading_)

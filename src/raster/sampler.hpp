@@ -43,22 +43,11 @@ class TextureSampler
     }
 
     /**
-     * Buffer footprints into TexelRef spans and deliver them through
-     * accessBatch() instead of per-event scalar calls (the rasterizer
-     * enables this per frame from the process-wide batchedAccess()
-     * toggle). The emitted event sequence is identical either way.
+     * Deliver any buffered accesses to the sink as one batch. Footprints
+     * reach the sink only through accessBatch(): the sampler buffers
+     * them as TexelRefs until this call, the next bind(), or a full
+     * buffer.
      */
-    void
-    setBatching(bool enabled)
-    {
-        if (!enabled)
-            flushBatch();
-        batching_ = enabled;
-    }
-
-    bool batching() const { return batching_; }
-
-    /** Deliver any buffered accesses to the sink as one batch. */
     void
     flushBatch()
     {
@@ -87,12 +76,8 @@ class TextureSampler
     void
     beginPixel(uint32_t px, uint32_t py)
     {
-        if (!sink_)
-            return;
-        if (batching_)
+        if (sink_)
             push(TexelRef::pixel(px, py));
-        else
-            sink_->beginPixel(px, py);
     }
 
     /**
@@ -141,7 +126,6 @@ class TextureSampler
     TexelAccessSink *sink_ = nullptr;
     FilterMode filter_ = FilterMode::Point;
     bool shading_ = false;
-    bool batching_ = false;
     uint32_t max_level_ = 0;
     uint64_t accesses_ = 0;
     uint64_t sample_ns_ = 0; ///< SelfTimer accumulator (tracing only)

@@ -32,42 +32,42 @@ namespace {
 
 constexpr uint32_t kMsTag = snapTag("MST ");
 
-/** Max refs buffered per accessBatch() call during batched replay. */
-constexpr size_t kReplayBatchCap = 4096;
+/**
+ * Recording capacity reserved per screen pixel: a pixel marker plus one
+ * or two quads per textured pixel, at modest overdraw.
+ */
+constexpr size_t kReservedRefsPerPixel = 8;
 
-/** Buffers the rasterizer's texel stream as RecordedOps. */
+/** Appends the rasterizer's spans and binds to a stream's recording. */
 class RecordingSink final : public TexelAccessSink
 {
   public:
-    explicit RecordingSink(std::vector<RecordedOp> &out) : out_(out) {}
+    RecordingSink(std::vector<TexelRef> &refs, std::vector<StreamBind> &binds)
+        : refs_(refs), binds_(binds)
+    {
+    }
 
     void
     bindTexture(TextureId tid) override
     {
-        out_.push_back({tid, 0, 0, 0, 0, 0});
-    }
-
-    void
-    beginPixel(uint32_t px, uint32_t py) override
-    {
-        out_.push_back({px, py, 0, 0, 1, 0});
+        binds_.push_back({refs_.size(), tid});
     }
 
     void
     access(uint32_t x, uint32_t y, uint32_t mip) override
     {
-        out_.push_back({x, y, 0, 0, 2, static_cast<uint8_t>(mip)});
+        refs_.push_back(TexelRef::texel(x, y, mip));
     }
 
     void
-    accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-               uint32_t mip) override
+    accessBatch(std::span<const TexelRef> refs) override
     {
-        out_.push_back({x0, y0, x1, y1, 3, static_cast<uint8_t>(mip)});
+        refs_.insert(refs_.end(), refs.begin(), refs.end());
     }
 
   private:
-    std::vector<RecordedOp> &out_;
+    std::vector<TexelRef> &refs_;
+    std::vector<StreamBind> &binds_;
 };
 
 /** Smallest power of two >= @p v. */
@@ -81,21 +81,26 @@ pow2Ceil(uint32_t v)
 }
 
 /**
- * Remap a recorded texel coordinate one or more MIP levels coarser
- * (the governor's LOD bias). Exact: clamps to the biased level's
+ * Remap a recorded texel or quad one or more MIP levels coarser (the
+ * governor's LOD bias), in place. Exact: clamps to the biased level's
  * extent so non-square pyramids stay in range.
  */
 void
-biasCoord(const MipPyramid &pyr, uint32_t bias, uint32_t &x, uint32_t &y,
-          uint32_t &mip)
+biasRef(const MipPyramid &pyr, uint32_t bias, TexelRef &r)
 {
-    const uint32_t m =
-        std::min(mip + bias, pyr.levels() > 0 ? pyr.levels() - 1 : 0u);
-    const uint32_t shift = m - mip;
+    if (r.kind == TexelRef::kPixel)
+        return;
+    const uint32_t m = std::min<uint32_t>(
+        r.mip + bias, pyr.levels() > 0 ? pyr.levels() - 1 : 0u);
+    const uint32_t shift = m - r.mip;
     const Image &lvl = pyr.level(m);
-    x = std::min(x >> shift, lvl.width() - 1);
-    y = std::min(y >> shift, lvl.height() - 1);
-    mip = m;
+    r.x0 = std::min(r.x0 >> shift, lvl.width() - 1);
+    r.y0 = std::min(r.y0 >> shift, lvl.height() - 1);
+    if (r.kind == TexelRef::kQuad) {
+        r.x1 = std::min(r.x1 >> shift, lvl.width() - 1);
+        r.y1 = std::min(r.y1 >> shift, lvl.height() - 1);
+    }
+    r.mip = static_cast<uint16_t>(m);
 }
 
 /** SLO metric names the multi-stream runner can sample per round. */
@@ -241,13 +246,13 @@ MultiStreamRunner::recordThrasher(StreamRuntime &st)
         static_cast<uint64_t>(st.thrasher_grid) * st.thrasher_grid;
     const uint64_t per_round = std::min(2 * l2_blocks, total);
 
-    st.pending.push_back({st.thrasher_tid, 0, 0, 0, 0, 0});
+    st.binds.push_back({st.refs.size(), st.thrasher_tid});
     for (uint64_t i = 0; i < per_round; ++i) {
         const uint64_t b = (st.thrasher_cursor + i) % total;
         const uint32_t bx = static_cast<uint32_t>(b % st.thrasher_grid);
         const uint32_t by = static_cast<uint32_t>(b / st.thrasher_grid);
-        st.pending.push_back(
-            {bx * cfg_.l2_tile, by * cfg_.l2_tile, 0, 0, 2, 0});
+        st.refs.push_back(
+            TexelRef::texel(bx * cfg_.l2_tile, by * cfg_.l2_tile, 0));
     }
     st.thrasher_cursor = (st.thrasher_cursor + per_round) % total;
 }
@@ -260,12 +265,20 @@ MultiStreamRunner::recordRound(uint32_t round)
         StreamRuntime &st = *streams_[i];
         if (st.dead)
             continue;
-        st.pending.clear();
+        st.clearRecording();
         sweep.addLeg(st.name, [this, round, &st](LegContext &) {
             if (st.workload) {
+                // Growing the recording from empty copies it at every
+                // doubling, and concurrent legs stack those copies into
+                // the process's peak RSS. Untouched capacity is never
+                // paged in, so reserve a generous frame up front (a
+                // no-op once an earlier round grew it).
+                st.refs.reserve(kReservedRefsPerPixel *
+                                static_cast<size_t>(cfg_.width) *
+                                static_cast<size_t>(cfg_.height));
                 Rasterizer raster(cfg_.width, cfg_.height);
                 raster.setFilter(st.spec.filter);
-                RecordingSink rec(st.pending);
+                RecordingSink rec(st.refs, st.binds);
                 raster.setSink(&rec);
                 const int total = st.workload->default_frames;
                 const int frame =
@@ -300,87 +313,23 @@ MultiStreamRunner::replayStream(uint32_t index)
     StreamRuntime &st = *streams_[index];
     CacheSim &sim = *st.sim;
     const uint32_t bias = governor_.bias(index);
-    const MipPyramid *pyr = nullptr;
 
-    if (batchedAccess()) {
-        // Decode recorded ops (LOD bias applied here, at decode time)
-        // into TexelRef batches; the batch drains before every bind so
-        // all buffered refs replay under the binding they were recorded
-        // with. Event order is identical to the scalar loop below.
-        std::vector<TexelRef> batch;
-        batch.reserve(kReplayBatchCap);
-        auto flush = [&] {
-            if (!batch.empty()) {
-                sim.accessBatch(batch);
-                batch.clear();
-            }
-        };
-        for (const RecordedOp &op : st.pending) {
-            switch (op.kind) {
-              case 0:
-                flush();
-                sim.bindTexture(op.a);
-                pyr = &st.textures().texture(op.a).pyramid;
-                break;
-              case 1:
-                batch.push_back(TexelRef::pixel(op.a, op.b));
-                break;
-              case 2: {
-                uint32_t x = op.a, y = op.b, mip = op.mip;
-                if (bias != 0)
-                    biasCoord(*pyr, bias, x, y, mip);
-                batch.push_back(TexelRef::texel(x, y, mip));
-                break;
-              }
-              default: {
-                uint32_t x0 = op.a, y0 = op.b, x1 = op.c, y1 = op.d;
-                uint32_t mip = op.mip;
-                if (bias != 0) {
-                    uint32_t m0 = op.mip, m1 = op.mip;
-                    biasCoord(*pyr, bias, x0, y0, m0);
-                    biasCoord(*pyr, bias, x1, y1, m1);
-                    mip = m0;
-                }
-                batch.push_back(TexelRef::quad(x0, y0, x1, y1, mip));
-                break;
-              }
-            }
-            if (batch.size() >= kReplayBatchCap)
-                flush();
+    // One accessBatch() per between-bind slice. The governor's LOD bias
+    // rewrites the refs in place: the recording is dropped after the
+    // round anyway.
+    for (size_t b = 0; b < st.binds.size(); ++b) {
+        const StreamBind &bind = st.binds[b];
+        const size_t end = b + 1 < st.binds.size() ? st.binds[b + 1].offset
+                                                   : st.refs.size();
+        const std::span<TexelRef> slice(st.refs.data() + bind.offset,
+                                        end - bind.offset);
+        sim.bindTexture(bind.tid);
+        if (bias != 0) {
+            const MipPyramid &pyr = st.textures().texture(bind.tid).pyramid;
+            for (TexelRef &r : slice)
+                biasRef(pyr, bias, r);
         }
-        flush();
-        return;
-    }
-
-    for (const RecordedOp &op : st.pending) {
-        switch (op.kind) {
-          case 0:
-            sim.bindTexture(op.a);
-            pyr = &st.textures().texture(op.a).pyramid;
-            break;
-          case 1:
-            sim.beginPixel(op.a, op.b);
-            break;
-          case 2: {
-            uint32_t x = op.a, y = op.b, mip = op.mip;
-            if (bias != 0)
-                biasCoord(*pyr, bias, x, y, mip);
-            sim.access(x, y, mip);
-            break;
-          }
-          default: {
-            uint32_t x0 = op.a, y0 = op.b, x1 = op.c, y1 = op.d;
-            uint32_t mip = op.mip;
-            if (bias != 0) {
-                uint32_t m0 = op.mip, m1 = op.mip;
-                biasCoord(*pyr, bias, x0, y0, m0);
-                biasCoord(*pyr, bias, x1, y1, m1);
-                mip = m0;
-            }
-            sim.accessQuad(x0, y0, x1, y1, mip);
-            break;
-          }
-        }
+        sim.accessBatch(slice);
     }
 }
 
@@ -426,7 +375,7 @@ MultiStreamRunner::quarantineStream(uint32_t index, uint32_t round,
     st.dead = true;
     st.error = std::move(error);
     st.quarantined_at = round;
-    st.pending.clear();
+    st.clearRecording();
     // Hand the dead tenant's blocks back to the survivors.
     l2_->releaseStream(index);
 
@@ -775,7 +724,7 @@ MultiStreamRunner::run(const ResilienceConfig &res)
             } catch (const std::exception &e) {
                 quarantineStream(i, round, {ErrorCode::None, e.what()});
             }
-            st.pending.clear();
+            st.clearRecording();
         }
         try {
             CacheAuditor::checkL2(*l2_, res.audit);

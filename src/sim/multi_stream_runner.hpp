@@ -16,11 +16,12 @@
  *  - a round is one frame per stream. Rasterization is side-effect
  *    free per stream, so rounds record each stream's texel access
  *    stream concurrently on a SweepExecutor (each leg writes only its
- *    own op buffer);
- *  - the shared L2 is mutable state, so the recorded ops are replayed
- *    into it strictly serially in stream order. The replayed byte
- *    stream — and therefore every counter, CSV and checkpoint — is
- *    invariant to --jobs.
+ *    own TexelRef buffer and bind index);
+ *  - the shared L2 is mutable state, so the recorded spans are
+ *    replayed into it strictly serially in stream order, one
+ *    accessBatch() per between-bind slice. The replayed byte stream —
+ *    and therefore every counter, CSV and checkpoint — is invariant to
+ *    --jobs.
  *
  * Robustness mirrors MultiConfigRunner: a stream that throws is
  * quarantined (its shared-L2 blocks are released to the survivors and
@@ -102,16 +103,15 @@ struct MultiStreamConfig
 };
 
 /**
- * One recorded texel-stream operation. Rounds record each stream's
- * access stream in parallel and replay the buffers serially into the
- * shared L2 (see file comment); the LOD bias the bandwidth governor
- * assigns is applied during replay, not recording.
+ * Bind index entry of a recorded stream: the refs from @c offset up to
+ * the next entry's offset (or the end) were emitted under texture
+ * @c tid. The LOD bias the bandwidth governor assigns is applied
+ * during replay, not recording.
  */
-struct RecordedOp
+struct StreamBind
 {
-    uint32_t a = 0, b = 0, c = 0, d = 0;
-    uint8_t kind = 0; ///< 0 bind, 1 beginPixel, 2 access, 3 quad
-    uint8_t mip = 0;
+    size_t offset = 0;
+    TextureId tid = 0;
 };
 
 /** One stream's per-round report row. */
@@ -245,7 +245,8 @@ class MultiStreamRunner
         uint64_t thrasher_cursor = 0; ///< next block index to touch
         std::unique_ptr<CacheSim> sim;
         std::unique_ptr<ReuseDistanceTracker> tracker;
-        std::vector<RecordedOp> pending; ///< this round's recorded ops
+        std::vector<TexelRef> refs;     ///< this round's recorded stream
+        std::vector<StreamBind> binds;  ///< bind index into refs
         bool dead = false;
         Error error;
         uint32_t quarantined_at = 0;
@@ -253,6 +254,13 @@ class MultiStreamRunner
         TextureManager &textures() const
         {
             return workload ? *workload->textures : *thrasher_textures;
+        }
+
+        void
+        clearRecording()
+        {
+            refs.clear();
+            binds.clear();
         }
     };
 

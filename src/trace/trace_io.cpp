@@ -33,13 +33,6 @@ readU32(std::FILE *f, uint32_t &v)
     return std::fread(&v, sizeof(v), 1, f) == 1;
 }
 
-std::string
-offsetOf(std::FILE *f)
-{
-    const long pos = std::ftell(f);
-    return pos < 0 ? std::string("?") : std::to_string(pos);
-}
-
 } // namespace
 
 TraceWriter::TraceWriter(const std::string &path)
@@ -119,6 +112,7 @@ TraceReader::TraceReader(const std::string &path)
         throw Exception(ErrorCode::BadMagic,
                         "TraceReader: bad magic in " + path);
     }
+    pos_ = sizeof(kMagic);
 }
 
 TraceReader::~TraceReader()
@@ -132,12 +126,9 @@ TraceReader::replayFrame(TexelAccessSink &sink)
 {
     // Runs of kAccess ops are buffered into one accessBatch() call; the
     // buffer is drained before every bind (batches never span a texture
-    // binding) and at end of frame, so the sink observes the exact same
-    // event sequence as the scalar replay.
-    const bool batched = batchedAccess();
+    // binding) and at end of frame.
     std::vector<TexelRef> batch;
-    if (batched)
-        batch.reserve(kReplayBatchCap);
+    batch.reserve(kReplayBatchCap);
     auto flush = [&] {
         if (!batch.empty()) {
             sink.accessBatch(batch);
@@ -147,10 +138,8 @@ TraceReader::replayFrame(TexelAccessSink &sink)
 
     bool any = false;
     uint8_t op = 0;
-    while (true) {
-        const std::string at = offsetOf(file_);
-        if (std::fread(&op, 1, 1, file_) != 1)
-            break;
+    while (std::fread(&op, 1, 1, file_) == 1) {
+        // pos_ still names this record's opcode byte on every throw.
         any = true;
         switch (op) {
           case kBind: {
@@ -158,7 +147,8 @@ TraceReader::replayFrame(TexelAccessSink &sink)
             if (!readU32(file_, tid))
                 throw Exception(ErrorCode::Truncated,
                                 "TraceReader: truncated bind at offset " +
-                                    at);
+                                    std::to_string(pos_));
+            pos_ += 1 + sizeof(tid);
             flush();
             sink.bindTexture(tid);
             break;
@@ -169,23 +159,22 @@ TraceReader::replayFrame(TexelAccessSink &sink)
                 !readU32(file_, mip))
                 throw Exception(ErrorCode::Truncated,
                                 "TraceReader: truncated access at offset " +
-                                    at);
-            if (batched) {
-                batch.push_back(TexelRef::texel(x, y, mip));
-                if (batch.size() >= kReplayBatchCap)
-                    flush();
-            } else {
-                sink.access(x, y, mip);
-            }
+                                    std::to_string(pos_));
+            pos_ += 1 + 3 * sizeof(uint32_t);
+            batch.push_back(TexelRef::texel(x, y, mip));
+            if (batch.size() >= kReplayBatchCap)
+                flush();
             break;
           }
           case kEndFrame:
+            pos_ += 1;
             flush();
             return true;
           default:
             throw Exception(ErrorCode::BadOpcode,
                             "TraceReader: bad opcode " +
-                                std::to_string(op) + " at offset " + at);
+                                std::to_string(op) + " at offset " +
+                                std::to_string(pos_));
         }
     }
     flush();

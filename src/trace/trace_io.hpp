@@ -78,8 +78,8 @@ class TraceReader
 
     /**
      * Replay events into @p sink until the next frame boundary or end of
-     * trace. When batchedAccess() is on, runs of access ops between
-     * binds are delivered through accessBatch() (same event sequence).
+     * trace. Runs of access ops between binds reach the sink only
+     * through accessBatch(), with bindTexture() between the spans.
      * @return true when a frame was delivered, false at end of trace.
      */
     bool replayFrame(TexelAccessSink &sink);
@@ -88,10 +88,12 @@ class TraceReader
     uint64_t replayAll(TexelAccessSink &sink);
 
   private:
-    /** Max refs buffered per accessBatch() call during batched replay. */
+    /** Max refs buffered per accessBatch() call. */
     static constexpr size_t kReplayBatchCap = 4096;
 
     std::FILE *file_ = nullptr;
+    /** File offset of the next record (error messages only). */
+    uint64_t pos_ = 0;
 };
 
 } // namespace mltc

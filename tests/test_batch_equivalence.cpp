@@ -26,11 +26,39 @@
 namespace mltc {
 namespace {
 
-/** Restores the process-wide batching toggle on scope exit. */
-struct BatchToggleGuard
+/**
+ * The scalar reference consumer: forwards only the scalar entry points
+ * to a CacheSim and inherits the default accessBatch(), which replays
+ * every span element-by-element through them.
+ */
+class ScalarForwardingSink final : public TexelAccessSink
 {
-    bool saved = batchedAccess();
-    ~BatchToggleGuard() { setBatchedAccess(saved); }
+  public:
+    explicit ScalarForwardingSink(CacheSim &sim) : sim_(sim) {}
+
+    void bindTexture(TextureId tid) override { sim_.bindTexture(tid); }
+
+    void
+    beginPixel(uint32_t px, uint32_t py) override
+    {
+        sim_.beginPixel(px, py);
+    }
+
+    void
+    access(uint32_t x, uint32_t y, uint32_t mip) override
+    {
+        sim_.access(x, y, mip);
+    }
+
+    void
+    accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
+               uint32_t mip) override
+    {
+        sim_.accessQuad(x0, y0, x1, y1, mip);
+    }
+
+  private:
+    CacheSim &sim_;
 };
 
 /** Complete simulator state as bytes — the strongest equality there is. */
@@ -108,26 +136,27 @@ faultyHost()
 
 /**
  * The rendering differential: the same workload rendered twice through
- * the full rasterizer → sampler → CacheSim pipeline, once batched and
- * once scalar, must produce identical per-frame stats and an identical
- * end-state snapshot.
+ * the full rasterizer → sampler pipeline, once straight into a CacheSim
+ * (its accessBatch() fast path) and once into a twin through
+ * ScalarForwardingSink (the scalar entry points), must produce
+ * identical per-frame stats and an identical end-state snapshot.
  */
 void
 checkRenderDifferential(Workload (*build)(), FilterMode filter,
                         const CacheSimConfig &cfg, int frames,
                         const std::string &ctx)
 {
-    BatchToggleGuard guard;
     std::vector<CacheFrameStats> rows[2];
     std::vector<uint8_t> snap[2];
     uint64_t texels[2] = {0, 0};
     for (int mode = 0; mode < 2; ++mode) {
-        setBatchedAccess(mode == 1);
         Workload wl = build();
         CacheSim sim(*wl.textures, cfg, "diff");
+        ScalarForwardingSink scalar(sim);
         Rasterizer raster(96, 64);
         raster.setFilter(filter);
-        raster.setSink(&sim);
+        raster.setSink(mode == 0 ? static_cast<TexelAccessSink *>(&scalar)
+                                 : &sim);
         const float aspect = 96.0f / 64.0f;
         for (int f = 0; f < frames; ++f) {
             Camera cam = wl.cameraAtFrame(f, wl.default_frames, aspect);
@@ -463,15 +492,6 @@ TEST(BatchSinkDefaults, CountingSinkCountsBatchedRefs)
     refs.push_back(TexelRef::pixel(9, 9));
     sink.accessBatch(refs);
     EXPECT_EQ(sink.count, 5u); // 1 texel + 4 quad corners, pixel ignored
-}
-
-TEST(BatchSinkDefaults, ToggleRoundTrips)
-{
-    BatchToggleGuard guard;
-    setBatchedAccess(false);
-    EXPECT_FALSE(batchedAccess());
-    setBatchedAccess(true);
-    EXPECT_TRUE(batchedAccess());
 }
 
 } // namespace

@@ -254,15 +254,22 @@ TEST(MultiStream, QuarantineLeavesSurvivorCsvBytesUntouched)
         EXPECT_EQ(with_faulty[i], without[i]) << "survivor " << i;
 }
 
-TEST(MultiStream, OverBudgetStreamShedsLoadViaLodBias)
+/** Static partitions with a budget far below what streams pull per round. */
+MultiStreamConfig
+overBudget(std::vector<StreamSpec> streams)
 {
     MultiStreamConfig ms = base(L2SharePolicy::Static, 512ull << 10);
     ms.rounds = 8;
-    // A budget far below what the streams actually pull per round.
     ms.stream_budget_bytes = 4 << 10;
-    ms.streams.push_back(spec("village", FilterMode::Bilinear));
-    ms.streams.push_back(spec("city", FilterMode::Trilinear, 3));
-    MultiStreamRunner runner(ms);
+    ms.streams = std::move(streams);
+    return ms;
+}
+
+TEST(MultiStream, OverBudgetStreamShedsLoadViaLodBias)
+{
+    MultiStreamRunner runner(
+        overBudget({spec("village", FilterMode::Bilinear),
+                    spec("city", FilterMode::Trilinear, 3)}));
     runner.run({});
 
     // The bias must have engaged (hysteresis may step it back down
@@ -277,6 +284,83 @@ TEST(MultiStream, OverBudgetStreamShedsLoadViaLodBias)
     EXPECT_GT(peak_bias, 0u);
     EXPECT_GT(runner.governorOverBudgetRounds(0), 0u);
     EXPECT_LT(rows.back().host_bytes, rows.front().host_bytes);
+}
+
+/** Every stream's writeStreamCsv() bytes after running @p ms. */
+std::vector<std::string>
+streamCsvs(const MultiStreamConfig &ms, const std::string &tag)
+{
+    MultiStreamRunner runner(ms);
+    runner.run({});
+    std::vector<std::string> out;
+    for (uint32_t i = 0; i < runner.streamCount(); ++i) {
+        const std::string path =
+            tempPath(tag + ".stream" + std::to_string(i) + ".csv");
+        runner.writeStreamCsv(i, path);
+        out.push_back(fileBytes(path));
+        std::remove(path.c_str());
+    }
+    return out;
+}
+
+TEST(MultiStream, LodBiasedReplayIsPinned)
+{
+    // The governor's LOD bias remaps recorded refs during replay; pin
+    // every per-round row byte so a change to that replay cannot shift
+    // a counter unnoticed. The bilinear and trilinear tenants exercise
+    // the quad remap; the point-sampled tenant and the thrasher (whose
+    // bias climbs to 4) exercise the single-texel remap.
+    const char *header =
+        "round,accesses,l1_misses,l2_full_hits,l2_partial_hits,"
+        "l2_full_misses,host_bytes,cross_evictions,quota_blocks,"
+        "alloc_blocks,lod_bias,noisy,quarantined\n";
+    const std::vector<std::string> quad = streamCsvs(
+        overBudget({spec("village", FilterMode::Bilinear),
+                    spec("city", FilterMode::Trilinear, 3)}),
+        "pinned-quad");
+    ASSERT_EQ(quad.size(), 2u);
+    EXPECT_EQ(quad[0], std::string(header) +
+                           "0,39436,323,57,192,74,17024,0,256,74,0,0,0\n"
+                           "1,40028,103,90,9,4,832,0,256,78,1,0,0\n"
+                           "2,40876,112,112,0,0,0,0,256,78,1,0,0\n"
+                           "3,41708,358,191,148,19,10688,0,256,97,0,0,0\n"
+                           "4,43252,175,154,19,2,1344,0,256,99,1,0,0\n"
+                           "5,35028,81,81,0,0,0,0,256,99,1,0,0\n"
+                           "6,33924,220,175,41,4,2880,0,256,103,0,0,0\n"
+                           "7,34888,265,213,49,3,3328,0,256,106,0,0,0\n");
+    EXPECT_EQ(quad[1], std::string(header) +
+                           "0,24936,201,3,42,156,12672,0,256,156,0,0,0\n"
+                           "1,25076,119,118,0,1,64,0,256,157,1,0,0\n"
+                           "2,25376,119,119,0,0,0,0,256,157,1,0,0\n"
+                           "3,25596,199,198,0,1,64,0,256,158,0,0,0\n"
+                           "4,25704,204,200,2,2,256,0,256,160,0,0,0\n"
+                           "5,25988,207,204,0,3,192,0,256,163,0,0,0\n"
+                           "6,26168,209,208,0,1,64,0,256,164,0,0,0\n"
+                           "7,26412,212,209,2,1,192,0,256,165,0,0,0\n");
+
+    const std::vector<std::string> texel = streamCsvs(
+        overBudget({spec("village", FilterMode::Point),
+                    spec(kThrasherWorkload, FilterMode::Bilinear)}),
+        "pinned-texel");
+    ASSERT_EQ(texel.size(), 2u);
+    EXPECT_EQ(texel[0], std::string(header) +
+                            "0,9859,281,41,167,73,15360,0,256,73,0,0,0\n"
+                            "1,10007,99,86,9,4,832,0,256,77,1,0,0\n"
+                            "2,10219,104,99,5,0,320,0,256,77,1,0,0\n"
+                            "3,10427,326,164,144,18,10368,0,256,95,0,0,0\n"
+                            "4,10813,139,119,18,2,1280,0,256,97,1,0,0\n"
+                            "5,8757,69,69,0,0,0,0,256,97,1,0,0\n"
+                            "6,8481,188,146,39,3,2688,0,256,100,0,0,0\n"
+                            "7,8722,230,175,51,4,3520,0,256,104,0,0,0\n");
+    EXPECT_EQ(texel[1], std::string(header) +
+                            "0,1024,1024,0,0,1024,65536,0,256,256,0,0,0\n"
+                            "1,1024,1024,0,768,256,65536,0,256,256,1,0,0\n"
+                            "2,1024,1024,0,960,64,65536,0,256,256,2,0,0\n"
+                            "3,1024,256,0,240,16,16384,0,256,256,3,0,0\n"
+                            "4,1024,64,0,60,4,4096,0,256,256,4,0,0\n"
+                            "5,1024,0,0,0,0,0,0,256,256,4,0,0\n"
+                            "6,1024,0,0,0,0,0,0,256,256,4,0,0\n"
+                            "7,1024,256,256,0,0,0,0,256,256,3,0,0\n");
 }
 
 TEST(MultiStream, SigkillResumeIsBitIdentical)

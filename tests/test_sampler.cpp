@@ -45,6 +45,14 @@ class SamplerTest : public ::testing::Test
         sampler.bind(tm.texture(tid));
     }
 
+    /** The sink's records once the sampler's buffered span is delivered. */
+    const std::vector<RecordingSink::Rec> &
+    records()
+    {
+        sampler.flushBatch();
+        return sink.records;
+    }
+
     TextureManager tm;
     TextureId tid;
     RecordingSink sink;
@@ -60,10 +68,10 @@ TEST_F(SamplerTest, PointEmitsOneAccess)
 {
     sampler.setFilter(FilterMode::Point);
     sampler.sample(0.5f, 0.5f, 0.0f);
-    ASSERT_EQ(sink.records.size(), 1u);
-    EXPECT_EQ(sink.records[0].x, 32u);
-    EXPECT_EQ(sink.records[0].y, 32u);
-    EXPECT_EQ(sink.records[0].mip, 0u);
+    ASSERT_EQ(records().size(), 1u);
+    EXPECT_EQ(records()[0].x, 32u);
+    EXPECT_EQ(records()[0].y, 32u);
+    EXPECT_EQ(records()[0].mip, 0u);
     EXPECT_EQ(sampler.accessCount(), 1u);
 }
 
@@ -71,10 +79,10 @@ TEST_F(SamplerTest, BilinearEmitsFourNeighbours)
 {
     sampler.setFilter(FilterMode::Bilinear);
     sampler.sample(0.25f, 0.25f, 0.0f);
-    ASSERT_EQ(sink.records.size(), 4u);
+    ASSERT_EQ(records().size(), 4u);
     // All four accesses at level 0, forming a 2x2 quad.
     uint32_t minx = ~0u, maxx = 0, miny = ~0u, maxy = 0;
-    for (const auto &r : sink.records) {
+    for (const auto &r : records()) {
         EXPECT_EQ(r.mip, 0u);
         minx = std::min(minx, r.x);
         maxx = std::max(maxx, r.x);
@@ -89,9 +97,9 @@ TEST_F(SamplerTest, TrilinearEmitsEightAcrossTwoLevels)
 {
     sampler.setFilter(FilterMode::Trilinear);
     sampler.sample(0.5f, 0.5f, 1.5f);
-    ASSERT_EQ(sink.records.size(), 8u);
+    ASSERT_EQ(records().size(), 8u);
     int level1 = 0, level2 = 0;
-    for (const auto &r : sink.records) {
+    for (const auto &r : records()) {
         if (r.mip == 1)
             ++level1;
         else if (r.mip == 2)
@@ -105,8 +113,8 @@ TEST_F(SamplerTest, TrilinearMagnificationDegeneratesToBilinear)
 {
     sampler.setFilter(FilterMode::Trilinear);
     sampler.sample(0.5f, 0.5f, -2.0f);
-    EXPECT_EQ(sink.records.size(), 4u);
-    for (const auto &r : sink.records)
+    EXPECT_EQ(records().size(), 4u);
+    for (const auto &r : records())
         EXPECT_EQ(r.mip, 0u);
 }
 
@@ -115,8 +123,8 @@ TEST_F(SamplerTest, TrilinearClampsAtCoarsestLevel)
     sampler.setFilter(FilterMode::Trilinear);
     sampler.sample(0.5f, 0.5f, 100.0f);
     // Both probe levels clamp to the 1x1 top: a single bilinear probe.
-    EXPECT_EQ(sink.records.size(), 4u);
-    for (const auto &r : sink.records)
+    EXPECT_EQ(records().size(), 4u);
+    for (const auto &r : records())
         EXPECT_EQ(r.mip, 6u); // 64x64 -> levels 0..6
 }
 
@@ -125,25 +133,25 @@ TEST_F(SamplerTest, PointRoundsLambda)
     sampler.setFilter(FilterMode::Point);
     sampler.sample(0.0f, 0.0f, 0.4f);
     sampler.sample(0.0f, 0.0f, 0.6f);
-    ASSERT_EQ(sink.records.size(), 2u);
-    EXPECT_EQ(sink.records[0].mip, 0u);
-    EXPECT_EQ(sink.records[1].mip, 1u);
+    ASSERT_EQ(records().size(), 2u);
+    EXPECT_EQ(records()[0].mip, 0u);
+    EXPECT_EQ(records()[1].mip, 1u);
 }
 
 TEST_F(SamplerTest, NegativeLambdaClampsToBase)
 {
     sampler.setFilter(FilterMode::Point);
     sampler.sample(0.1f, 0.1f, -5.0f);
-    EXPECT_EQ(sink.records[0].mip, 0u);
+    EXPECT_EQ(records()[0].mip, 0u);
 }
 
 TEST_F(SamplerTest, UvWrapsOutsideUnitSquare)
 {
     sampler.setFilter(FilterMode::Point);
     sampler.sample(1.25f, -0.75f, 0.0f);
-    ASSERT_EQ(sink.records.size(), 1u);
-    EXPECT_EQ(sink.records[0].x, 16u); // 1.25 * 64 = 80 -> wraps to 16
-    EXPECT_EQ(sink.records[0].y, 16u); // -0.75 * 64 = -48 -> wraps to 16
+    ASSERT_EQ(records().size(), 1u);
+    EXPECT_EQ(records()[0].x, 16u); // 1.25 * 64 = 80 -> wraps to 16
+    EXPECT_EQ(records()[0].y, 16u); // -0.75 * 64 = -48 -> wraps to 16
 }
 
 TEST_F(SamplerTest, ShadingOffReturnsZero)
