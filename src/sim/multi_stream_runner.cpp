@@ -33,12 +33,10 @@ namespace {
 constexpr uint32_t kMsTag = snapTag("MST ");
 
 /**
- * Recording capacity reserved per screen pixel: a pixel marker plus one
- * or two quads per textured pixel, at modest overdraw.
+ * Appends the rasterizer's spans and binds to a stream's recording.
+ * Every entry point is recorded exactly, so the replayed stream does not
+ * depend on which one a producer uses.
  */
-constexpr size_t kReservedRefsPerPixel = 8;
-
-/** Appends the rasterizer's spans and binds to a stream's recording. */
 class RecordingSink final : public TexelAccessSink
 {
   public:
@@ -54,9 +52,22 @@ class RecordingSink final : public TexelAccessSink
     }
 
     void
+    beginPixel(uint32_t px, uint32_t py) override
+    {
+        refs_.push_back(TexelRef::pixel(px, py));
+    }
+
+    void
     access(uint32_t x, uint32_t y, uint32_t mip) override
     {
         refs_.push_back(TexelRef::texel(x, y, mip));
+    }
+
+    void
+    accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
+               uint32_t mip) override
+    {
+        refs_.push_back(TexelRef::quad(x0, y0, x1, y1, mip));
     }
 
     void
@@ -268,14 +279,6 @@ MultiStreamRunner::recordRound(uint32_t round)
         st.clearRecording();
         sweep.addLeg(st.name, [this, round, &st](LegContext &) {
             if (st.workload) {
-                // Growing the recording from empty copies it at every
-                // doubling, and concurrent legs stack those copies into
-                // the process's peak RSS. Untouched capacity is never
-                // paged in, so reserve a generous frame up front (a
-                // no-op once an earlier round grew it).
-                st.refs.reserve(kReservedRefsPerPixel *
-                                static_cast<size_t>(cfg_.width) *
-                                static_cast<size_t>(cfg_.height));
                 Rasterizer raster(cfg_.width, cfg_.height);
                 raster.setFilter(st.spec.filter);
                 RecordingSink rec(st.refs, st.binds);
