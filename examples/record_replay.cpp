@@ -31,8 +31,8 @@
  *
  * With --mrc every replayed configuration carries a reuse-distance
  * profiler; per-candidate outputs are written to `BASE.<config>` bases.
- * Replayed traces carry no pixel positions, so the screen-space heatmap
- * is absent here (texture-space maps and MRCs are unaffected).
+ * The trace keeps the rasterizer's pixel markers, so the screen-space
+ * heatmap is produced here too, byte-identical to a rasterized run's.
  *
  * With a fault scenario enabled (see host/host_cli.hpp) the replayed
  * configurations run over the fault-injectable host backend and report
@@ -97,6 +97,10 @@ main(int argc, char **argv)
         return 1;
     }
 
+    DriverConfig record_cfg;
+    record_cfg.filter = FilterMode::Bilinear;
+    record_cfg.frames = frames;
+
     // --- Record ---------------------------------------------------------
     {
         if (obs && obs->telemetry())
@@ -106,10 +110,7 @@ main(int argc, char **argv)
         std::printf("recording %d frames of '%s' to %s...\n", frames,
                     name.c_str(), path.c_str());
         TraceWriter writer(path);
-        DriverConfig cfg;
-        cfg.filter = FilterMode::Bilinear;
-        cfg.frames = frames;
-        runAnimation(wl, cfg, &writer,
+        runAnimation(wl, record_cfg, &writer,
                      [&](int, const FrameStats &) { writer.endFrame(); });
         writer.close(); // fails loudly on a truncated trace
     }
@@ -163,6 +164,8 @@ main(int argc, char **argv)
                 ReuseProfilerConfig pc = prof_base;
                 pc.l1_unit_bytes = sc.l1.lineBytes();
                 pc.l2_unit_bytes = sc.l1.lineBytes();
+                pc.screen_width = static_cast<uint32_t>(record_cfg.width);
+                pc.screen_height = static_cast<uint32_t>(record_cfg.height);
                 profiler = std::make_unique<ReuseProfiler>(pc);
                 sim.setReuseProfiler(profiler.get());
             }

@@ -1,9 +1,11 @@
 /**
  * @file
- * Robustness fuzzing for the trace reader: truncations at every byte,
- * bit flips, random opcode soup. Every malformed input must yield a
- * clean, typed mltc::Exception naming the offending offset or opcode —
- * never a crash, an infinite loop, or a leaked file handle.
+ * Robustness fuzzing for the trace reader (docs/trace_format.md):
+ * truncations at every byte, bit flips, random opcode soup, and
+ * hand-built corrupt spans and trailers. Every malformed input must
+ * yield a clean, typed mltc::Exception naming the offending offset or
+ * opcode — never a crash, an infinite loop, a silently shortened
+ * trace, or a leaked file handle.
  */
 #include <gtest/gtest.h>
 
@@ -36,7 +38,23 @@ tempPath(const char *name)
     return testing::TempDir() + name + "." + std::to_string(getpid());
 }
 
-/** Bytes of a small valid trace (2 frames, a few events). */
+/**
+ * Bytes of a small valid trace: 2 frames, every ref kind (a stepped
+ * and a wrapped quad, a stepped and a placed pixel marker, a texel with
+ * an escaped MIP level), three spans, binds inside and between frames.
+ *
+ * Layout (offset: record):
+ *    0: magic "MLTCTRC2"
+ *    8: bind 3
+ *   10: span of 5 refs (3-byte header, 17-byte payload)
+ *   30: bind 4
+ *   32: span of 1 ref (escaped MIP 40)
+ *   39: end of frame
+ *   40: bind 3
+ *   42: span of 1 ref
+ *   48: end of frame
+ *   49: trailer (2 frames, 7 refs), 17 bytes
+ */
 std::vector<unsigned char>
 validTraceBytes()
 {
@@ -44,11 +62,16 @@ validTraceBytes()
     {
         TraceWriter w(path);
         w.bindTexture(3);
-        w.access(1, 2, 0);
+        w.beginPixel(10, 4);
+        w.accessQuad(1, 2, 2, 3, 0);
+        w.beginPixel(11, 4);
+        w.accessQuad(63, 7, 0, 8, 1);
         w.access(100, 200, 5);
-        w.endFrame();
         w.bindTexture(4);
-        w.access(7, 8, 1);
+        w.access(7, 8, 40);
+        w.endFrame();
+        w.bindTexture(3);
+        w.access(1, 1, 0);
         w.endFrame();
         w.close();
     }
@@ -61,7 +84,17 @@ validTraceBytes()
     EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
     std::fclose(f);
     std::remove(path.c_str());
+    EXPECT_EQ(bytes.size(), 66u) << "the layout comment above is stale";
     return bytes;
+}
+
+/** The trace magic followed by hand-built @p records. */
+std::vector<unsigned char>
+withMagic(std::initializer_list<unsigned char> records)
+{
+    std::string bytes = "MLTCTRC2";
+    bytes.append(records.begin(), records.end());
+    return {bytes.begin(), bytes.end()};
 }
 
 void
@@ -107,31 +140,76 @@ openFdCount()
     return n;
 }
 
+/** Replay @p bytes; @return the typed error it must raise. */
+Exception
+replayError(const std::vector<unsigned char> &bytes, const char *name)
+{
+    const std::string path = tempPath(name);
+    writeBytes(path, bytes);
+    CountingSink sink;
+    try {
+        TraceReader reader(path);
+        reader.replayAll(sink);
+    } catch (const Exception &e) {
+        std::remove(path.c_str());
+        return e;
+    }
+    std::remove(path.c_str());
+    ADD_FAILURE() << "expected a typed exception";
+    return Exception(ErrorCode::None, "");
+}
+
 TEST(TraceFuzz, TruncationAtEveryByteIsClean)
 {
+    // The whole trace replays; every strict prefix lacks the trailer,
+    // so every one must fail as Truncated — a cut at a record boundary
+    // included.
     const std::vector<unsigned char> bytes = validTraceBytes();
-    const std::string path = tempPath("fuzz_trunc.bin");
-    for (size_t len = 0; len < bytes.size(); ++len)
-        replayExpectingCleanOutcome(
-            {bytes.begin(), bytes.begin() + static_cast<long>(len)}, path);
+    const std::string path = tempPath("fuzz_whole.bin");
+    writeBytes(path, bytes);
+    {
+        TraceReader reader(path);
+        CountingSink sink;
+        EXPECT_EQ(reader.replayAll(sink), 2u);
+        EXPECT_EQ(sink.events, 3u + 2u * 4u + 3u); // binds, quads, texels
+    }
+    std::remove(path.c_str());
+    for (size_t len = 0; len < bytes.size(); ++len) {
+        const Exception e = replayError(
+            {bytes.begin(), bytes.begin() + static_cast<long>(len)},
+            "fuzz_trunc.bin");
+        EXPECT_EQ(e.code(), ErrorCode::Truncated) << "prefix " << len;
+    }
 }
 
 TEST(TraceFuzz, TruncatedAccessNamesOffset)
 {
     std::vector<unsigned char> bytes = validTraceBytes();
-    bytes.resize(bytes.size() - 2); // chop into the last access payload
-    const std::string path = tempPath("fuzz_offset.bin");
+    bytes.resize(25); // inside the payload of the span at offset 10
+    const Exception e = replayError(bytes, "fuzz_offset.bin");
+    EXPECT_EQ(e.code(), ErrorCode::Truncated);
+    EXPECT_STREQ(e.what(), "TraceReader: truncated span at offset 10");
+}
+
+TEST(TraceFuzz, CutAtAFrameBoundaryIsNotAFrame)
+{
+    // A trace cut between records must not replay its partial last
+    // frame as a complete one: the first frame still arrives whole, the
+    // cut second frame throws instead of returning true.
+    std::vector<unsigned char> bytes = validTraceBytes();
+    bytes.resize(48); // drop frame 2's end marker and the trailer
+    const std::string path = tempPath("fuzz_boundary.bin");
     writeBytes(path, bytes);
     TraceReader reader(path);
     CountingSink sink;
+    EXPECT_TRUE(reader.replayFrame(sink));
     try {
-        reader.replayAll(sink);
+        reader.replayFrame(sink);
         FAIL() << "expected a typed exception";
     } catch (const Exception &e) {
         EXPECT_EQ(e.code(), ErrorCode::Truncated);
-        // 8-byte header, bind (5), two accesses (13 each), end-frame,
-        // bind: the last access record's opcode byte sits at 45.
-        EXPECT_STREQ(e.what(), "TraceReader: truncated access at offset 45");
+        EXPECT_STREQ(e.what(),
+                     "TraceReader: trace ends before its trailer at offset 48");
     }
     std::remove(path.c_str());
 }
@@ -139,20 +217,86 @@ TEST(TraceFuzz, TruncatedAccessNamesOffset)
 TEST(TraceFuzz, BadOpcodeNamesOpcodeAndOffset)
 {
     std::vector<unsigned char> bytes = validTraceBytes();
-    bytes.push_back(0x7f); // garbage opcode after the final end-frame
-    const std::string path = tempPath("fuzz_opcode.bin");
-    writeBytes(path, bytes);
-    TraceReader reader(path);
-    CountingSink sink;
-    try {
-        reader.replayAll(sink);
-        FAIL() << "expected a typed exception";
-    } catch (const Exception &e) {
-        EXPECT_EQ(e.code(), ErrorCode::BadOpcode);
-        // The appended byte follows the 59-byte valid trace.
-        EXPECT_STREQ(e.what(), "TraceReader: bad opcode 127 at offset 59");
+    bytes[39] = 0x7f; // garbage in place of the first end of frame
+    const Exception e = replayError(bytes, "fuzz_opcode.bin");
+    EXPECT_EQ(e.code(), ErrorCode::BadOpcode);
+    EXPECT_STREQ(e.what(), "TraceReader: bad opcode 127 at offset 39");
+}
+
+TEST(TraceFuzz, CorruptPayloadNamesOffsetAndFault)
+{
+    // Hand-built span records at offset 8: opcode 2, ref count, payload
+    // length, payload. Tag byte: kind in bits 0-1, step in bit 2, MIP
+    // level in bits 3-7 (31 escapes to a varint).
+    const struct
+    {
+        std::vector<unsigned char> bytes;
+        const char *what;
+    } cases[] = {
+        {withMagic({2, 1, 2, 0x00, 0x80}),
+         "TraceReader: corrupt span at offset 8: varint overrun"},
+        {withMagic({2, 1, 7, 0x00, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x00}),
+         "TraceReader: corrupt span at offset 8: varint too long"},
+        {withMagic({2, 1, 3, 0x03, 0, 0}),
+         "TraceReader: corrupt span at offset 8: unknown ref kind 3"},
+        {withMagic({2, 1, 1, 0x04}),
+         "TraceReader: corrupt span at offset 8: step flag on a texel ref"},
+        {withMagic({2, 1, 4, 0xf8, 0x05, 0, 0}),
+         "TraceReader: corrupt span at offset 8: MIP level 5 out of range"},
+        {withMagic({2, 2, 3, 0x00, 0, 0}),
+         "TraceReader: corrupt span at offset 8: payload ends after 1 of 2 "
+         "refs"},
+        {withMagic({2, 1, 4, 0x00, 0, 0, 0}),
+         "TraceReader: corrupt span at offset 8: 1 payload bytes follow the "
+         "last of 1 refs"},
+        {withMagic({2, 0, 0}),
+         "TraceReader: corrupt span at offset 8: ref count 0 outside "
+         "1..4096"},
+        {withMagic({2, 1, 0xa0, 0x8d, 0x06}), // length 100000
+         "TraceReader: corrupt span at offset 8: payload length 100000 "
+         "exceeds 98304"},
+    };
+    for (const auto &c : cases) {
+        const Exception e = replayError(c.bytes, "fuzz_corrupt.bin");
+        EXPECT_EQ(e.code(), ErrorCode::Corrupt) << c.what;
+        EXPECT_STREQ(e.what(), c.what);
     }
-    std::remove(path.c_str());
+}
+
+TEST(TraceFuzz, DamagedTrailerIsCorrupt)
+{
+    const std::vector<unsigned char> valid = validTraceBytes();
+
+    std::vector<unsigned char> count = valid;
+    count[49 + 1] = 3; // the trailer claims 3 frames
+    Exception e = replayError(count, "fuzz_trailer.bin");
+    EXPECT_EQ(e.code(), ErrorCode::Corrupt);
+    EXPECT_STREQ(e.what(), "TraceReader: corrupt trailer at offset 49: "
+                           "records 3 frames / 7 refs, trace holds 2 / 7");
+
+    std::vector<unsigned char> extra = valid;
+    extra.push_back(3);
+    e = replayError(extra, "fuzz_trailer.bin");
+    EXPECT_EQ(e.code(), ErrorCode::Corrupt);
+    EXPECT_STREQ(e.what(), "TraceReader: data after trailer at offset 66");
+
+    // The trailer moved up into frame 2, before its end marker.
+    std::vector<unsigned char> open(valid.begin(), valid.begin() + 48);
+    open.insert(open.end(), valid.begin() + 49, valid.end());
+    e = replayError(open, "fuzz_trailer.bin");
+    EXPECT_EQ(e.code(), ErrorCode::Corrupt);
+    EXPECT_STREQ(e.what(), "TraceReader: corrupt trailer at offset 48: the "
+                           "last frame has no end marker");
+}
+
+TEST(TraceFuzz, VersionOneTraceIsBadMagic)
+{
+    // The retired MLTCTRC1 grammar (13-byte texel records) is not read.
+    const std::vector<unsigned char> v1 = {'M', 'L', 'T', 'C', 'T', 'R',
+                                           'C', '1', 1,   3,   0,   0,
+                                           0,   3};
+    const Exception e = replayError(v1, "fuzz_v1.bin");
+    EXPECT_EQ(e.code(), ErrorCode::BadMagic);
 }
 
 TEST(TraceFuzz, BitFlipAtEveryByteIsClean)
@@ -231,6 +375,31 @@ TEST(TraceFuzz, WriterFailsLoudlyOnFullDevice)
             w.close();
         },
         Exception);
+}
+
+TEST(TraceFuzz, WriterEntryPointsAfterCloseThrowIo)
+{
+    const std::string path = tempPath("fuzz_closed.bin");
+    TraceWriter w(path);
+    w.close();
+    const TexelRef one[] = {TexelRef::texel(1, 1, 0)};
+    auto expectIo = [](auto &&call) {
+        try {
+            call();
+            ADD_FAILURE() << "expected a typed exception";
+        } catch (const Exception &e) {
+            EXPECT_EQ(e.code(), ErrorCode::Io);
+            EXPECT_STREQ(e.what(), "TraceWriter: write after close");
+        }
+    };
+    expectIo([&] { w.bindTexture(1); });
+    expectIo([&] { w.beginPixel(1, 1); });
+    expectIo([&] { w.access(1, 1, 0); });
+    expectIo([&] { w.accessQuad(1, 1, 2, 2, 0); });
+    expectIo([&] { w.accessBatch(one); });
+    expectIo([&] { w.endFrame(); });
+    w.close(); // closing twice stays a no-op
+    std::remove(path.c_str());
 }
 
 TEST(TraceFuzz, LegacyCatchSitesStillWork)
