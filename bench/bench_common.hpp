@@ -116,29 +116,6 @@ wroteCsv(LegContext &ctx, CsvWriter &csv)
     ctx.printf("[csv] %s\n\n", csv.path().c_str());
 }
 
-/**
- * Per-leg resilience config for benches that run several runners in one
- * process (per workload, per filter): each leg checkpoints to
- * `<base>.<leg>.snap`. On --resume a leg whose checkpoint is missing
- * (the crash happened before its first checkpoint) simply starts fresh;
- * a completed leg resumes at its last frame, i.e. is a cheap no-op.
- */
-inline ResilienceConfig
-legResilience(const ResilienceConfig &base, const std::string &leg)
-{
-    ResilienceConfig rc = base;
-    if (!rc.checkpoint_path.empty()) {
-        rc.checkpoint_path += "." + leg + ".snap";
-        if (rc.resume) {
-            if (std::FILE *f = std::fopen(rc.checkpoint_path.c_str(), "rb"))
-                std::fclose(f);
-            else
-                rc.resume = false;
-        }
-    }
-    return rc;
-}
-
 /** Report a supervised leg's outcome; quarantines go to stderr. */
 inline void
 reportManifest(const std::string &leg, const RunManifest &manifest)
@@ -147,12 +124,11 @@ reportManifest(const std::string &leg, const RunManifest &manifest)
         std::fprintf(stderr, "[%s] run %s after %d frames\n", leg.c_str(),
                      runOutcomeName(manifest.outcome),
                      manifest.frames_completed);
-    for (const auto &sim : manifest.sims)
+    for (const ManifestEntry &sim : manifest.entries)
         if (sim.quarantined)
             std::fprintf(stderr,
                          "[%s] sim '%s' quarantined at frame %d: %s\n",
-                         leg.c_str(), sim.label.c_str(),
-                         sim.quarantined_at_frame,
+                         leg.c_str(), sim.label.c_str(), sim.quarantined_at,
                          sim.error.describe().c_str());
 }
 

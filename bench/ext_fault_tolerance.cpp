@@ -61,8 +61,8 @@ main(int argc, char **argv)
                 sc.host.faults.spike_rate = rate / 2.0;
                 runner.addSim(sc, formatPercent(rate, 0) + " faults");
             }
-            manifests[w] =
-                runner.runSupervised(legResilience(resilience, name));
+            manifests[w] = runner.runSupervised(
+                legResilience(resilience, "." + name + ".snap"));
             if (manifests[w].outcome != RunOutcome::Completed)
                 return;
 

@@ -57,8 +57,8 @@ main(int argc, char **argv)
                               std::to_string(s) + "KB");
 
             const std::string leg = std::string(filterModeName(filter));
-            manifests[pass] =
-                runner.runSupervised(legResilience(resilience, leg));
+            manifests[pass] = runner.runSupervised(
+                legResilience(resilience, "." + leg + ".snap"));
             if (manifests[pass].outcome != RunOutcome::Completed)
                 return;
 

@@ -56,8 +56,8 @@ main(int argc, char **argv)
             runner.addSim(CacheSimConfig::twoLevel(2 * 1024, 8ull << 20),
                           "2KB+8MB");
 
-            manifests[w] =
-                runner.runSupervised(legResilience(resilience, name));
+            manifests[w] = runner.runSupervised(
+                legResilience(resilience, "." + name + ".snap"));
             if (manifests[w].outcome != RunOutcome::Completed)
                 return;
 

@@ -98,8 +98,9 @@ main(int argc, char **argv)
                               "l2_8");
 
                 manifests[slot] = runner.runSupervised(
-                    legResilience(resilience,
-                                  name + "_" + filterModeName(filter)));
+                    legResilience(resilience, "." + name + "_" +
+                                                  filterModeName(filter) +
+                                                  ".snap"));
                 for (size_t i = 0; i < 5; ++i)
                     avgs[slot][i] = runner.averageHostBytesPerFrame(i) /
                                     (1024.0 * 1024.0);

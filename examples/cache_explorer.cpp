@@ -34,7 +34,9 @@
  *                            external scraper lands mid-run
  *   --csv-prefix=BASE        write BASE.streamI.csv per-round rows
  * plus the shared --jobs / --checkpoint / --resume / --audit /
- * --metrics-out / --trace-out families, which keep their meaning.
+ * --metrics-out / --trace-out families, which keep their meaning
+ * (--checkpoint=PATH also writes the PATH.manifest run summary;
+ * --restart-limit is sweep-only and rejected here).
  *
  * Parallelism (docs/parallelism.md): every swept configuration is an
  * independent leg (its own workload, runner, fault RNG, metrics stream
@@ -50,9 +52,9 @@
  * watchdog supervision with the shared resilience flags
  * (sim/resilience.hpp): --checkpoint=PATH (per-leg PATH.legN files plus
  * a PATH.manifest sweep summary), --checkpoint-every=N, --resume,
- * --deadline-ms=D, --budget-ms=B, --audit=off|cheap|full. Ctrl-C
- * checkpoints every leg at its next frame boundary and exits cleanly;
- * rerun with --resume to finish.
+ * --deadline-ms=D, --budget-ms=B, --audit=off|cheap|full,
+ * --restart-limit=N. Ctrl-C checkpoints every leg at its next frame
+ * boundary and exits cleanly; rerun with --resume to finish.
  *
  * Observability (obs/observability.hpp, docs/observability.md):
  *   --metrics-out=PATH  per-frame metrics registry snapshots (JSONL;
@@ -93,7 +95,6 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <sys/stat.h>
 #include <vector>
 
 #include "host/host_cli.hpp"
@@ -140,22 +141,6 @@ struct LegState
     std::unique_ptr<ReuseProfiler> profiler;
     RunManifest manifest;
 };
-
-/** Per-leg resilience: PATH -> PATH.legN, resume only if it exists. */
-ResilienceConfig
-legResilience(const ResilienceConfig &base, size_t leg)
-{
-    ResilienceConfig rc = base;
-    if (rc.checkpoint_path.empty())
-        return rc;
-    rc.checkpoint_path += ".leg" + std::to_string(leg);
-    if (rc.resume) {
-        struct stat st;
-        if (stat(rc.checkpoint_path.c_str(), &st) != 0)
-            rc.resume = false; // this leg never checkpointed; fresh start
-    }
-    return rc;
-}
 
 /**
  * Strictly parse the multi-tenant flags: every malformed value throws
@@ -268,7 +253,7 @@ runMultiStream(const CommandLine &cli)
                 runner.streamCount(), l2SharePolicyName(ms.share),
                 ms.rounds, ms.jobs);
 
-    const MultiStreamManifest manifest = runner.run(resilience);
+    const RunManifest manifest = runner.run(resilience);
 
     const std::string csv_prefix = cli.getString("csv-prefix", "");
     if (!csv_prefix.empty())
@@ -282,7 +267,7 @@ runMultiStream(const CommandLine &cli)
         const CacheSim &sim = runner.sim(i);
         const CacheFrameStats &t = sim.totals();
         const L2StreamStats &ls = runner.l2().streamStats(i);
-        const StreamManifestEntry &e = manifest.streams[i];
+        const ManifestEntry &e = manifest.entries[i];
         table.addRow(
             {runner.streamName(i), formatPercent(t.l1HitRate(), 2),
              formatPercent(ls.missRate(), 2),
@@ -295,19 +280,20 @@ runMultiStream(const CommandLine &cli)
                                           ? 0
                                           : runner.rows(i).back().lod_bias)
                                 : 0ul),
-             e.quarantined ? "quarantined@" + std::to_string(e.at_round)
-                           : "ok"});
+             e.quarantined
+                 ? "quarantined@" + std::to_string(e.quarantined_at)
+                 : "ok"});
         if (e.quarantined)
-            std::fprintf(stderr, "stream '%s' quarantined at round %u: %s\n",
-                         e.name.c_str(), e.at_round,
+            std::fprintf(stderr, "stream '%s' quarantined at round %d: %s\n",
+                         e.label.c_str(), e.quarantined_at,
                          e.error.describe().c_str());
     }
     table.print();
 
     if (manifest.outcome != RunOutcome::Completed)
-        std::printf("run %s after %u rounds%s\n",
+        std::printf("run %s after %d rounds%s\n",
                     runOutcomeName(manifest.outcome),
-                    manifest.rounds_completed,
+                    manifest.frames_completed,
                     manifest.checkpoint.empty()
                         ? ""
                         : " (rerun with --resume to finish)");
@@ -487,7 +473,8 @@ main(int argc, char **argv)
             }
 
             leg->manifest =
-                leg->runner->runSupervised(legResilience(resilience, i));
+                leg->runner->runSupervised(
+                    legResilience(resilience, ".leg" + std::to_string(i)));
             if (leg->manifest.outcome != RunOutcome::Completed)
                 ctx.printf("leg '%s' %s after %d frames%s\n",
                            candidates[i].label.c_str(),
@@ -552,7 +539,8 @@ main(int argc, char **argv)
         const CacheSim &sim = *leg.runner->sims().front();
         const CacheFrameStats &t = sim.totals();
         const bool faulty = sim.hostPath() != nullptr;
-        const bool dead = leg.manifest.sims[0].quarantined;
+        const ManifestEntry &entry = leg.manifest.entries[0];
+        const bool dead = entry.quarantined;
         table.addRow(
             {sim.label() + (dead ? " [quarantined]" : ""),
              formatPercent(t.l1HitRate(), 2),
@@ -565,9 +553,8 @@ main(int argc, char **argv)
              faulty ? std::to_string(t.degraded_accesses) : "-"});
         if (dead)
             std::fprintf(stderr, "sim '%s' quarantined at frame %d: %s\n",
-                         sim.label().c_str(),
-                         leg.manifest.sims[0].quarantined_at_frame,
-                         leg.manifest.sims[0].error.describe().c_str());
+                         sim.label().c_str(), entry.quarantined_at,
+                         entry.error.describe().c_str());
     }
     table.print();
 

@@ -3,9 +3,8 @@
 namespace mltc {
 
 FrameStats
-runAnimationRange(const Workload &workload, const DriverConfig &config,
-                  TexelAccessSink *sink, int start_frame,
-                  const FrameCallback &per_frame, const FrameGate &gate)
+runAnimation(const Workload &workload, const DriverConfig &config,
+             TexelAccessSink *sink, const FrameCallback &per_frame)
 {
     Rasterizer raster(config.width, config.height);
     raster.setFilter(config.filter);
@@ -18,9 +17,7 @@ runAnimationRange(const Workload &workload, const DriverConfig &config,
                          static_cast<float>(config.height);
 
     FrameStats total;
-    for (int f = start_frame; f < frames; ++f) {
-        if (gate && !gate(f))
-            break;
+    for (int f = 0; f < frames; ++f) {
         Camera cam = workload.cameraAtFrame(f, frames, aspect);
         FrameStats fs = raster.renderFrame(workload.scene, cam,
                                            *workload.textures);
@@ -33,13 +30,6 @@ runAnimationRange(const Workload &workload, const DriverConfig &config,
             per_frame(f, fs);
     }
     return total;
-}
-
-FrameStats
-runAnimation(const Workload &workload, const DriverConfig &config,
-             TexelAccessSink *sink, const FrameCallback &per_frame)
-{
-    return runAnimationRange(workload, config, sink, 0, per_frame, {});
 }
 
 } // namespace mltc

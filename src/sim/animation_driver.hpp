@@ -26,9 +26,6 @@ struct DriverConfig
 /** Called after each frame with the frame index and raster counters. */
 using FrameCallback = std::function<void(int frame, const FrameStats &)>;
 
-/** Called before each frame; return false to stop the run early. */
-using FrameGate = std::function<bool(int frame)>;
-
 /**
  * Render @p config.frames frames of @p workload, streaming accesses to
  * @p sink (may be null for a pure render).
@@ -37,19 +34,6 @@ using FrameGate = std::function<bool(int frame)>;
 FrameStats runAnimation(const Workload &workload, const DriverConfig &config,
                         TexelAccessSink *sink,
                         const FrameCallback &per_frame = {});
-
-/**
- * Like runAnimation() but starting at frame @p start_frame (each frame
- * is a pure function of its index, so a resumed run renders the exact
- * frames a straight run would) and consulting @p gate before each frame
- * for cooperative cancellation / watchdog stops.
- * @return aggregate raster stats over the frames actually rendered.
- */
-FrameStats runAnimationRange(const Workload &workload,
-                             const DriverConfig &config,
-                             TexelAccessSink *sink, int start_frame,
-                             const FrameCallback &per_frame = {},
-                             const FrameGate &gate = {});
 
 } // namespace mltc
 

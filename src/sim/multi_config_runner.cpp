@@ -1,41 +1,16 @@
 #include "sim/multi_config_runner.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <csignal>
 #include <string>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/profiler.hpp"
 #include "raster/access_sink.hpp"
-#include "util/csv.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/serializer.hpp"
 
 namespace mltc {
-
-const char *
-runOutcomeName(RunOutcome outcome)
-{
-    switch (outcome) {
-      case RunOutcome::Completed: return "completed";
-      case RunOutcome::Cancelled: return "cancelled";
-      case RunOutcome::DeadlineExceeded: return "deadline-exceeded";
-      case RunOutcome::BudgetExhausted: return "budget-exhausted";
-    }
-    return "?";
-}
-
-size_t
-RunManifest::quarantinedCount() const
-{
-    size_t n = 0;
-    for (const auto &s : sims)
-        if (s.quarantined)
-            ++n;
-    return n;
-}
 
 MultiConfigRunner::MultiConfigRunner(Workload &workload,
                                      const DriverConfig &config)
@@ -195,41 +170,18 @@ MultiConfigRunner::publishFrame(const FrameRow &row)
 void
 MultiConfigRunner::run(const RowCallback &cb)
 {
-    rows_.clear();
-
-    FanoutSink fanout;
-    for (auto &sim : sims_)
-        fanout.add(sim.get());
-    if (working_sets_)
-        fanout.add(working_sets_.get());
-    if (push_)
-        fanout.add(push_.get());
-    for (auto *s : extra_sinks_)
-        fanout.add(s);
-
-    // The frame bracket spans gate -> per-frame callback (same thread),
-    // so the profiler scope is carried manually rather than via RAII.
-    detail::ProfileSlot *frame_prof = nullptr;
-    const FrameGate gate = [&frame_prof](int) {
-        if (ChromeTraceWriter *t = globalTracer())
-            t->begin("frame", "frame");
-        if (StageProfiler *p = stageProfiler())
-            frame_prof = p->enter("frame");
-        return true;
-    };
-    runAnimationRange(workload_, config_, &fanout, 0,
-                      [&](int frame, const FrameStats &fs) {
-                          harvestRow(frame, fs, cb);
-                          if (ChromeTraceWriter *t = globalTracer())
-                              t->end();
-                          if (frame_prof != nullptr) {
-                              StageProfiler::leave(frame_prof);
-                              frame_prof = nullptr;
-                          }
-                      },
-                      gate);
-    if (frame_prof != nullptr) // stopped between gate and callback
-        StageProfiler::leave(frame_prof);
+    ResilienceConfig rc;
+    rc.audit = AuditLevel::Off;
+    const RunManifest manifest = runSupervised(rc, cb);
+    // No manifest reaches run()'s caller: fail as loudly as the
+    // throwing simulator would have, once the clip is done.
+    const ManifestEntry *first = nullptr;
+    for (const ManifestEntry &e : manifest.entries)
+        if (e.quarantined &&
+            (first == nullptr || e.quarantined_at < first->quarantined_at))
+            first = &e;
+    if (first != nullptr)
+        throw Exception(first->error.code, first->error.message);
 }
 
 double
@@ -316,7 +268,7 @@ loadWorkingSet(SnapshotReader &r, FrameWorkingSet &ws)
 
 void
 MultiConfigRunner::saveCheckpoint(const std::string &path,
-                                  int next_frame) const
+                                  uint32_t next_frame) const
 {
     SnapshotWriter w(path);
     // Generational commit: the last good checkpoint survives as
@@ -333,7 +285,7 @@ MultiConfigRunner::saveCheckpoint(const std::string &path,
     w.u32(static_cast<uint32_t>(config_.frames));
     w.u8(config_.z_prepass ? 1 : 0);
 
-    w.u32(static_cast<uint32_t>(next_frame));
+    w.u32(next_frame);
 
     w.u32(static_cast<uint32_t>(sims_.size()));
     for (size_t i = 0; i < sims_.size(); ++i) {
@@ -382,7 +334,7 @@ MultiConfigRunner::saveCheckpoint(const std::string &path,
     w.finish();
 }
 
-int
+uint32_t
 MultiConfigRunner::loadCheckpoint(const std::string &path)
 {
     SnapshotReader r = openSnapshotGeneration(path);
@@ -466,13 +418,32 @@ MultiConfigRunner::loadCheckpoint(const std::string &path)
         rows_.push_back(std::move(row));
     }
     r.expectEnd();
-    return static_cast<int>(next_frame);
+    return next_frame;
 }
 
 // ---------------------------------------------------------------------------
 // Supervised run
 
 namespace {
+
+/** Record @p err against @p q at @p frame and stop its simulator. */
+void
+quarantineSim(SimQuarantine &q, const Error &err, int frame)
+{
+    q.dead = true;
+    q.error = err;
+    q.at_frame = frame;
+    ++q.failures;
+    q.revive_at_frame = -1; // the ladder reschedules from the new failure
+    if (ChromeTraceWriter *t = globalTracer()) {
+        t->instant("sim.quarantined", "runner");
+        // A quarantine often precedes an operator killing the run:
+        // make sure the evidence reaches the file now.
+        t->flush();
+    }
+    flightEvent("sim.quarantined", "resilience", static_cast<double>(frame));
+    flightDump("quarantine");
+}
 
 /**
  * Per-simulator isolation: forwards the access stream until the wrapped
@@ -482,170 +453,176 @@ namespace {
 class GuardedSink final : public TexelAccessSink
 {
   public:
-    GuardedSink(TexelAccessSink &inner, SimQuarantine *q,
-                const int *current_frame)
-        : inner_(inner), q_(q), current_frame_(current_frame)
+    /** Quarantine state lives in @p quarantine[@p index]; a resume
+     *  reassigns the vector, so the guard holds it by index. */
+    GuardedSink(TexelAccessSink &inner,
+                std::vector<SimQuarantine> &quarantine, size_t index,
+                const int &current_frame)
+        : inner_(inner), quarantine_(quarantine), index_(index),
+          current_frame_(current_frame)
     {
     }
 
     void
     bindTexture(TextureId tid) override
     {
-        if (q_->dead)
-            return;
-        try {
-            inner_.bindTexture(tid);
-        } catch (...) {
-            quarantine();
-        }
+        guard([&] { inner_.bindTexture(tid); });
     }
 
     void
     beginPixel(uint32_t px, uint32_t py) override
     {
-        if (q_->dead)
-            return;
-        try {
-            inner_.beginPixel(px, py);
-        } catch (...) {
-            quarantine();
-        }
+        guard([&] { inner_.beginPixel(px, py); });
     }
 
     void
     access(uint32_t x, uint32_t y, uint32_t mip) override
     {
-        if (q_->dead)
-            return;
-        try {
-            inner_.access(x, y, mip);
-        } catch (...) {
-            quarantine();
-        }
+        guard([&] { inner_.access(x, y, mip); });
     }
 
     void
     accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
                uint32_t mip) override
     {
-        if (q_->dead)
-            return;
-        try {
-            inner_.accessQuad(x0, y0, x1, y1, mip);
-        } catch (...) {
-            quarantine();
-        }
+        guard([&] { inner_.accessQuad(x0, y0, x1, y1, mip); });
     }
 
     void
     accessBatch(std::span<const TexelRef> refs) override
     {
-        if (q_->dead)
-            return;
-        try {
-            inner_.accessBatch(refs);
-        } catch (...) {
-            quarantine();
-        }
-    }
-
-    /** Record @p err and stop forwarding (used for audit violations). */
-    void
-    quarantineWith(const Error &err)
-    {
-        q_->dead = true;
-        q_->error = err;
-        q_->at_frame = *current_frame_;
-        ++q_->failures;
-        q_->revive_at_frame = -1; // gate reschedules from the new failure
-        if (ChromeTraceWriter *t = globalTracer()) {
-            t->instant("sim.quarantined", "runner");
-            // A quarantine often precedes an operator killing the run:
-            // make sure the evidence reaches the file now.
-            t->flush();
-        }
-        flightEvent("sim.quarantined", "resilience",
-                    static_cast<double>(*current_frame_));
-        flightDump("quarantine");
+        guard([&] { inner_.accessBatch(refs); });
     }
 
   private:
+    template <typename F>
     void
-    quarantine()
+    guard(F &&forward)
     {
+        SimQuarantine &q = quarantine_[index_];
+        if (q.dead)
+            return;
         try {
-            throw;
+            forward();
         } catch (const Exception &e) {
-            quarantineWith(e.error());
+            quarantineSim(q, e.error(), current_frame_);
         } catch (const std::exception &e) {
-            quarantineWith({ErrorCode::None, e.what()});
+            quarantineSim(q, {ErrorCode::None, e.what()}, current_frame_);
         } catch (...) {
-            quarantineWith({ErrorCode::None, "unknown exception"});
+            quarantineSim(q, {ErrorCode::None, "unknown exception"},
+                          current_frame_);
         }
     }
 
     TexelAccessSink &inner_;
-    SimQuarantine *q_;
-    const int *current_frame_;
+    std::vector<SimQuarantine> &quarantine_;
+    size_t index_;
+    const int &current_frame_;
 };
 
 } // namespace
 
 void
-MultiConfigRunner::writeManifest(const RunManifest &manifest) const
+MultiConfigRunner::reviveQuarantined(const ResilienceConfig &rc, int frame)
 {
-    auto sanitize = [](std::string s) {
-        for (char &c : s)
-            if (c == ',' || c == '\n' || c == '\r')
-                c = ';';
-        return s;
-    };
-
-    CsvWriter csv(manifest.checkpoint + ".manifest",
-                  {"record", "label", "status", "frames_completed",
-                   "next_frame", "error_code", "error",
-                   "checkpoint_failures"});
-    csv.rowStrings({"run", "", runOutcomeName(manifest.outcome),
-                    std::to_string(manifest.frames_completed),
-                    std::to_string(manifest.next_frame), "", "",
-                    std::to_string(manifest.checkpoint_write_failures)});
-    for (const auto &s : manifest.sims) {
-        csv.rowStrings({"sim", sanitize(s.label),
-                        s.quarantined ? "quarantined" : "ok",
-                        s.quarantined ? std::to_string(s.quarantined_at_frame)
-                                      : "",
-                        "",
-                        s.quarantined ? errorCodeName(s.error.code) : "",
-                        s.quarantined ? sanitize(s.error.message) : "",
-                        std::to_string(s.restart_failures)});
+    // A quarantined simulator is revived after an exponential frame
+    // backoff while its consecutive failure count stays within
+    // --restart-limit; one failure past the limit and the quarantine is
+    // permanent. Revival is gated on a clean audit so a corrupted
+    // simulator never rejoins.
+    for (size_t i = 0; i < sims_.size(); ++i) {
+        SimQuarantine &q = quarantine_[i];
+        if (!q.dead || q.failures > rc.restart_limit)
+            continue;
+        if (q.revive_at_frame < 0) {
+            const uint32_t shift = std::min<uint32_t>(
+                q.failures > 0 ? q.failures - 1 : 0, 16);
+            q.revive_at_frame = q.at_frame + static_cast<int>(1u << shift);
+        }
+        if (frame < q.revive_at_frame)
+            continue;
+        try {
+            if (rc.audit != AuditLevel::Off)
+                sims_[i]->audit(rc.audit);
+            q.dead = false;
+            q.revive_at_frame = -1;
+            logInfo("runSupervised: restarted '" + sims_[i]->label() +
+                    "' at frame " + std::to_string(frame) + " (failure " +
+                    std::to_string(q.failures) + "/" +
+                    std::to_string(rc.restart_limit) + ")");
+            if (ChromeTraceWriter *t = globalTracer())
+                t->instant("sim.restarted", "runner");
+        } catch (const Exception &e) {
+            // The revival audit failed: count it as another
+            // consecutive failure and back off further.
+            q.error = e.error();
+            q.at_frame = frame;
+            ++q.failures;
+            q.revive_at_frame = -1;
+        }
     }
-    csv.close();
+}
+
+void
+MultiConfigRunner::publishTelemetry(const char *status, uint32_t next_frame,
+                                    int checkpoint_write_failures) const
+{
+    // The scrape thread only reads the pushed strings, never runner
+    // state.
+    if (!obs_ || !obs_->telemetry())
+        return;
+    size_t dead = 0;
+    for (const SimQuarantine &q : quarantine_)
+        if (q.dead)
+            ++dead;
+    JsonWriter h;
+    h.beginObject();
+    h.kv("status", status);
+    h.kv("frame", static_cast<int64_t>(next_frame));
+    h.kv("frames", static_cast<int64_t>(config_.frames));
+    h.kv("quarantined", static_cast<uint64_t>(dead));
+    h.kv("checkpoint_write_failures",
+         static_cast<int64_t>(checkpoint_write_failures));
+    h.endObject();
+    obs_->telemetry()->publishHealth(h.str());
+
+    JsonWriter r;
+    r.beginObject();
+    r.kv("mode", "sims");
+    r.kv("width", config_.width);
+    r.kv("height", config_.height);
+    r.kv("frames", static_cast<int64_t>(config_.frames));
+    r.kv("frame", static_cast<int64_t>(next_frame));
+    r.key("sims");
+    r.beginArray();
+    for (size_t i = 0; i < sims_.size(); ++i) {
+        r.beginObject();
+        r.kv("index", static_cast<uint64_t>(i));
+        r.kv("label", sims_[i]->label());
+        r.kv("status", quarantine_[i].dead ? "quarantined" : "serving");
+        r.kv("failures", static_cast<uint64_t>(quarantine_[i].failures));
+        r.endObject();
+    }
+    r.endArray();
+    r.endObject();
+    obs_->telemetry()->publishRunz(r.str());
 }
 
 RunManifest
 MultiConfigRunner::runSupervised(const ResilienceConfig &rc,
                                  const RowCallback &cb)
 {
-    using Clock = std::chrono::steady_clock;
-    using MsDouble = std::chrono::duration<double, std::milli>;
+    // A resume's loadCheckpoint() replaces both.
+    rows_.clear();
+    quarantine_.assign(sims_.size(), {});
 
-    int start_frame = 0;
-    if (rc.resume)
-        start_frame = loadCheckpoint(rc.checkpoint_path);
-    else {
-        rows_.clear();
-        quarantine_.assign(sims_.size(), {});
-    }
-    if (quarantine_.size() != sims_.size())
-        quarantine_.assign(sims_.size(), {});
-
-    int current_frame = start_frame;
+    int current_frame = 0;
     std::vector<std::unique_ptr<GuardedSink>> guards;
     guards.reserve(sims_.size());
     FanoutSink fanout;
     for (size_t i = 0; i < sims_.size(); ++i) {
         guards.push_back(std::make_unique<GuardedSink>(
-            *sims_[i], &quarantine_[i], &current_frame));
+            *sims_[i], quarantine_, i, current_frame));
         fanout.add(guards.back().get());
     }
     if (working_sets_)
@@ -655,152 +632,47 @@ MultiConfigRunner::runSupervised(const ResilienceConfig &rc,
     for (auto *s : extra_sinks_)
         fanout.add(s);
 
-    const auto run_start = Clock::now();
-    auto frame_start = run_start;
-    // Frame bracket carried gate -> per-frame callback on one thread.
-    detail::ProfileSlot *frame_prof = nullptr;
-    RunOutcome outcome = RunOutcome::Completed;
-    int next_frame = start_frame;
-    uint32_t checkpoints_written = 0;
-    int checkpoint_write_failures = 0;
-    uint32_t ckpt_backoff = 0; ///< doubling skip multiplier (0 = healthy)
-    int ckpt_retry_at = -1;    ///< first frame allowed to retry commits
-    bool stop = false;
+    Rasterizer raster(config_.width, config_.height);
+    raster.setFilter(config_.filter);
+    raster.setSink(&fanout);
+    raster.setZPrepass(config_.z_prepass);
+    const int frames =
+        config_.frames > 0 ? config_.frames : workload_.default_frames;
+    const float aspect = static_cast<float>(config_.width) /
+                         static_cast<float>(config_.height);
 
-    // Live telemetry: push /healthz + /runz documents each frame. The
-    // scrape thread only reads the pushed strings, never runner state.
-    const auto publish_telemetry = [&](const char *status, int frame) {
-        if (!obs_ || !obs_->telemetry())
-            return;
-        size_t dead = 0;
-        for (const SimQuarantine &q : quarantine_)
-            if (q.dead)
-                ++dead;
-        JsonWriter h;
-        h.beginObject();
-        h.kv("status", status);
-        h.kv("frame", static_cast<int64_t>(frame));
-        h.kv("frames", static_cast<int64_t>(config_.frames));
-        h.kv("quarantined", static_cast<uint64_t>(dead));
-        h.kv("checkpoint_write_failures",
-             static_cast<int64_t>(checkpoint_write_failures));
-        h.endObject();
-        obs_->telemetry()->publishHealth(h.str());
-
-        JsonWriter r;
-        r.beginObject();
-        r.kv("mode", "sims");
-        r.kv("width", config_.width);
-        r.kv("height", config_.height);
-        r.kv("frames", static_cast<int64_t>(config_.frames));
-        r.kv("frame", static_cast<int64_t>(frame));
-        r.key("sims");
-        r.beginArray();
-        for (size_t i = 0; i < sims_.size(); ++i) {
-            r.beginObject();
-            r.kv("index", static_cast<uint64_t>(i));
-            r.kv("label", sims_[i]->label());
-            r.kv("status",
-                 quarantine_[i].dead ? "quarantined" : "serving");
-            r.kv("failures",
-                 static_cast<uint64_t>(quarantine_[i].failures));
-            r.endObject();
-        }
-        r.endArray();
-        r.endObject();
-        obs_->telemetry()->publishRunz(r.str());
-    };
-
-    publish_telemetry("serving", start_frame);
-
-    const FrameGate gate = [&](int frame) {
+    SupervisedSteps steps;
+    steps.count = static_cast<uint32_t>(frames);
+    steps.step = [&](uint32_t i) {
+        const int frame = static_cast<int>(i);
         current_frame = frame;
-        next_frame = frame;
-        flightFrame(frame);
-        if (cancellationRequested()) {
-            outcome = RunOutcome::Cancelled;
-            return false;
+        if (rc.restart_limit > 0)
+            reviveQuarantined(rc, frame);
+        {
+            ScopedProfileStage frame_prof("frame");
+            ChromeTraceWriter *t = globalTracer();
+            if (t)
+                t->begin("frame", "frame");
+            const Camera cam = workload_.cameraAtFrame(frame, frames, aspect);
+            harvestRow(frame,
+                       raster.renderFrame(workload_.scene, cam,
+                                          *workload_.textures),
+                       cb);
+            if (t)
+                t->end();
         }
-        if (stop)
-            return false;
-        if (rc.wall_budget_ms > 0.0 &&
-            MsDouble(Clock::now() - run_start).count() > rc.wall_budget_ms) {
-            outcome = RunOutcome::BudgetExhausted;
-            return false;
-        }
-
-        // Crash-loop containment: a quarantined simulator is revived
-        // after an exponential frame backoff while its consecutive
-        // failure count stays within --restart-limit; one failure past
-        // the limit and the quarantine is permanent. Revival is gated
-        // on a clean audit so a corrupted simulator never rejoins.
-        if (rc.restart_limit > 0) {
-            for (size_t i = 0; i < sims_.size(); ++i) {
-                SimQuarantine &q = quarantine_[i];
-                if (!q.dead || q.failures > rc.restart_limit)
-                    continue;
-                if (q.revive_at_frame < 0) {
-                    const uint32_t shift =
-                        std::min<uint32_t>(q.failures > 0 ? q.failures - 1
-                                                          : 0,
-                                           16);
-                    q.revive_at_frame =
-                        q.at_frame + static_cast<int>(1u << shift);
-                }
-                if (frame < q.revive_at_frame)
-                    continue;
-                try {
-                    if (rc.audit != AuditLevel::Off)
-                        sims_[i]->audit(rc.audit);
-                    q.dead = false;
-                    q.revive_at_frame = -1;
-                    logInfo("runSupervised: restarted '" +
-                            sims_[i]->label() + "' at frame " +
-                            std::to_string(frame) + " (failure " +
-                            std::to_string(q.failures) + "/" +
-                            std::to_string(rc.restart_limit) + ")");
-                    if (ChromeTraceWriter *t = globalTracer())
-                        t->instant("sim.restarted", "runner");
-                } catch (const Exception &e) {
-                    // The revival audit failed: count it as another
-                    // consecutive failure and back off further.
-                    q.error = e.error();
-                    q.at_frame = frame;
-                    ++q.failures;
-                    q.revive_at_frame = -1;
-                }
-            }
-        }
-
-        frame_start = Clock::now();
-        if (ChromeTraceWriter *t = globalTracer())
-            t->begin("frame", "frame");
-        if (StageProfiler *p = stageProfiler())
-            frame_prof = p->enter("frame");
-        return true;
-    };
-
-    const FrameCallback per_frame = [&](int frame, const FrameStats &fs) {
-        harvestRow(frame, fs, cb);
-        if (ChromeTraceWriter *t = globalTracer())
-            t->end();
-        if (frame_prof != nullptr) {
-            StageProfiler::leave(frame_prof);
-            frame_prof = nullptr;
-        }
-        next_frame = frame + 1;
 
         // Invariant audits at the frame boundary: a violating simulator
         // is quarantined (its state can no longer be trusted) and the
         // healthy configurations continue.
         if (rc.audit != AuditLevel::Off) {
-            for (size_t i = 0; i < sims_.size(); ++i) {
-                if (quarantine_[i].dead)
+            for (size_t s = 0; s < sims_.size(); ++s) {
+                if (quarantine_[s].dead)
                     continue;
                 try {
-                    sims_[i]->audit(rc.audit);
+                    sims_[s]->audit(rc.audit);
                 } catch (const Exception &e) {
-                    guards[i]->quarantineWith(e.error());
+                    quarantineSim(quarantine_[s], e.error(), frame);
                 }
             }
         }
@@ -808,118 +680,30 @@ MultiConfigRunner::runSupervised(const ResilienceConfig &rc,
         // A clean frame (alive, no failure recorded this frame) resets
         // the consecutive-failure count, so only genuine crash loops
         // accumulate toward --restart-limit.
-        for (auto &q : quarantine_)
+        for (SimQuarantine &q : quarantine_)
             if (!q.dead && q.failures > 0 && q.at_frame != frame)
                 q.failures = 0;
-
-        if (rc.frame_deadline_ms > 0.0 &&
-            MsDouble(Clock::now() - frame_start).count() >
-                rc.frame_deadline_ms) {
-            outcome = RunOutcome::DeadlineExceeded;
-            stop = true;
-        }
-
-        if (!rc.checkpoint_path.empty() && rc.checkpoint_every > 0 &&
-            static_cast<uint32_t>(frame + 1) % rc.checkpoint_every == 0 &&
-            frame + 1 >= ckpt_retry_at) {
-            try {
-                saveCheckpoint(rc.checkpoint_path, frame + 1);
-                ++checkpoints_written;
-                ckpt_backoff = 0;
-                ckpt_retry_at = -1;
-                if (ChromeTraceWriter *t = globalTracer())
-                    t->instant("checkpoint.saved", "runner");
-                // Crash-path test hook: die *after* the checkpoint
-                // committed, leaving exactly the state a real crash
-                // would.
-                if (rc.die_after_checkpoints > 0 &&
-                    checkpoints_written >= rc.die_after_checkpoints)
-                    std::raise(SIGKILL);
-            } catch (const Exception &e) {
-                // Checkpointing is an optimisation, not a correctness
-                // requirement: degrade to skip-with-backoff (the next
-                // attempt waits exponentially more checkpoint periods)
-                // instead of aborting a healthy simulation.
-                ++checkpoint_write_failures;
-                ckpt_backoff =
-                    std::min<uint32_t>(ckpt_backoff ? ckpt_backoff * 2 : 1,
-                                       64);
-                ckpt_retry_at =
-                    frame + 1 +
-                    static_cast<int>(ckpt_backoff *
-                                     std::max<uint32_t>(1,
-                                                        rc.checkpoint_every));
-                logWarn("runSupervised: checkpoint write failed (" +
-                        e.error().describe() + "); retrying at frame " +
-                        std::to_string(ckpt_retry_at));
-                if (obs_) {
-                    auto guard = obs_->metrics().updateGuard();
-                    obs_->metrics()
-                        .counter("checkpoint.write_failed")
-                        .inc();
-                }
-                flightEvent("checkpoint.write_failed", "resilience");
-            }
-        }
-
-        publish_telemetry("serving", frame + 1);
     };
-
-    runAnimationRange(workload_, config_, &fanout, start_frame, per_frame,
-                      gate);
-    if (frame_prof != nullptr) // stopped between gate and callback
-        StageProfiler::leave(frame_prof);
-
-    if (outcome == RunOutcome::DeadlineExceeded ||
-        outcome == RunOutcome::BudgetExhausted)
-        flightDump("watchdog");
-
-    if (outcome != RunOutcome::Completed) {
-        // Interrupted (SIGINT/SIGTERM, deadline, budget): make sure
-        // every telemetry row/event up to the last complete frame is on
-        // disk even if the process is killed before close(). The
-        // metrics JSONL sink flushes per line already; the trace buffer
-        // is the one that loses data.
-        if (obs_)
-            obs_->flush();
-        else if (ChromeTraceWriter *t = globalTracer())
-            t->flush();
-    }
-
-    RunManifest manifest;
-    manifest.outcome = outcome;
-    manifest.frames_completed = static_cast<int>(rows_.size());
-    manifest.next_frame = next_frame;
-    manifest.sims.reserve(sims_.size());
-    for (size_t i = 0; i < sims_.size(); ++i)
-        manifest.sims.push_back({sims_[i]->label(), quarantine_[i].dead,
-                                 quarantine_[i].at_frame,
-                                 quarantine_[i].error,
-                                 quarantine_[i].failures});
-    if (!rc.checkpoint_path.empty()) {
-        try {
-            saveCheckpoint(rc.checkpoint_path, next_frame);
-            manifest.checkpoint = rc.checkpoint_path;
-        } catch (const Exception &e) {
-            // The results are already in rows_/the caller's CSVs; a
-            // final checkpoint that cannot land must not erase them.
-            ++checkpoint_write_failures;
-            logWarn("runSupervised: final checkpoint write failed (" +
-                    e.error().describe() + ")");
-            flightDump("io");
-            manifest.checkpoint = rc.checkpoint_path;
+    steps.save = [this](const std::string &path, uint32_t next) {
+        saveCheckpoint(path, next);
+    };
+    steps.load = [this](const std::string &path) {
+        return loadCheckpoint(path);
+    };
+    steps.publish = [this](const char *status, uint32_t next,
+                           int write_failures) {
+        publishTelemetry(status, next, write_failures);
+    };
+    steps.entries = [this] {
+        std::vector<ManifestEntry> out;
+        for (size_t i = 0; i < sims_.size(); ++i) {
+            const SimQuarantine &q = quarantine_[i];
+            out.push_back({sims_[i]->label(), q.dead, q.at_frame, q.error,
+                           q.failures});
         }
-        manifest.checkpoint_write_failures = checkpoint_write_failures;
-        try {
-            writeManifest(manifest);
-        } catch (const Exception &e) {
-            logWarn("runSupervised: manifest write failed (" +
-                    e.error().describe() + ")");
-        }
-    }
-    manifest.checkpoint_write_failures = checkpoint_write_failures;
-    publish_telemetry(runOutcomeName(outcome), next_frame);
-    return manifest;
+        return out;
+    };
+    return superviseRun(rc, steps, obs_);
 }
 
 } // namespace mltc

@@ -40,28 +40,6 @@ struct FrameRow
 /** Per-frame observer; also receives the row after it is stored. */
 using RowCallback = std::function<void(const FrameRow &)>;
 
-/** How a supervised run ended. */
-enum class RunOutcome : uint8_t
-{
-    Completed,        ///< every frame rendered
-    Cancelled,        ///< SIGINT/SIGTERM (checkpointed at the boundary)
-    DeadlineExceeded, ///< a frame overran --deadline-ms
-    BudgetExhausted,  ///< the run overran --budget-ms
-};
-
-/** Stable name of @p outcome for the manifest. */
-const char *runOutcomeName(RunOutcome outcome);
-
-/** Per-simulator record in the run manifest. */
-struct SimManifestEntry
-{
-    std::string label;
-    bool quarantined = false;      ///< threw and was isolated
-    int quarantined_at_frame = -1; ///< frame of the first throw
-    Error error;                   ///< what it threw
-    uint32_t restart_failures = 0; ///< consecutive failures at run end
-};
-
 /**
  * Per-simulator quarantine + crash-loop state, carried across
  * checkpoint/resume so a resumed run continues the same backoff ladder.
@@ -73,24 +51,6 @@ struct SimQuarantine
     Error error;              ///< what it threw most recently
     uint32_t failures = 0;    ///< consecutive failures (clean frame resets)
     int revive_at_frame = -1; ///< scheduled restart frame (-1 = none)
-};
-
-/**
- * Result of a supervised run: how it ended, how far it got, and the
- * status of every registered simulator. Written next to the checkpoint
- * as `<checkpoint>.manifest` (CSV).
- */
-struct RunManifest
-{
-    RunOutcome outcome = RunOutcome::Completed;
-    int frames_completed = 0;  ///< rows harvested over the run's lifetime
-    int next_frame = 0;        ///< where a resume would continue
-    std::string checkpoint;    ///< final checkpoint path ("" if none)
-    int checkpoint_write_failures = 0; ///< commits skipped on I/O failure
-    std::vector<SimManifestEntry> sims;
-
-    /** Number of quarantined simulators. */
-    size_t quarantinedCount() const;
 };
 
 /** Owns the consumers and runs the animation once. */
@@ -131,16 +91,23 @@ class MultiConfigRunner
      */
     void setObservability(Observability *obs) { obs_ = obs; }
 
-    /** Run the animation; rows accumulate and @p cb fires per frame. */
+    /**
+     * Run the animation; rows accumulate and @p cb fires per frame.
+     * The same loop as runSupervised() with auditing off and nothing
+     * checkpointed: a throwing simulator is quarantined, the clip
+     * finishes, and then the first quarantined simulator's typed error
+     * is rethrown.
+     */
     void run(const RowCallback &cb = {});
 
     /**
-     * Run under watchdog supervision: periodic crash-safe checkpoints,
-     * resume, invariant audits at frame boundaries, per-sim quarantine
-     * of throwing configurations, per-frame deadline / wall-clock
-     * budget, and cooperative SIGINT/SIGTERM cancellation (install the
-     * handlers with installCancellationHandlers()). With a default
-     * ResilienceConfig this renders exactly what run() renders.
+     * Run under superviseRun(): periodic crash-safe checkpoints,
+     * resume, per-frame deadline / wall-clock budget and cooperative
+     * SIGINT/SIGTERM cancellation (install the handlers with
+     * installCancellationHandlers()). Each frame is one step: revive
+     * due simulators, render into the guarded fanout, harvest, and
+     * audit every live simulator. With a default ResilienceConfig this
+     * renders exactly what run() renders.
      *
      * A quarantined simulator stops consuming accesses; its partial
      * stats stay in the rows (zero deltas after the throwing frame) and
@@ -164,17 +131,18 @@ class MultiConfigRunner
      * uninterrupted run byte-for-byte.
      * @param next_frame the first frame a resume should render
      */
-    void saveCheckpoint(const std::string &path, int next_frame) const;
+    void saveCheckpoint(const std::string &path, uint32_t next_frame) const;
 
     /**
      * Restore state written by saveCheckpoint() into an identically
      * configured runner (same sims in the same order, same labels, same
      * collectors).
-     * @return the first frame to render
+     * @return the first frame to render, as stored (superviseRun()
+     *         bounds-checks it)
      * @throws mltc::Exception — VersionMismatch on configuration skew,
      *         Truncated/BadMagic/Corrupt on damaged snapshots.
      */
-    int loadCheckpoint(const std::string &path);
+    uint32_t loadCheckpoint(const std::string &path);
 
     /** All rows from the last run(). */
     const std::vector<FrameRow> &rows() const { return rows_; }
@@ -192,14 +160,18 @@ class MultiConfigRunner
     double averageHostBytesPerFrame(size_t idx) const;
 
   private:
-    /** Harvest one frame boundary into rows_ (shared by run paths). */
+    /** Harvest one frame boundary into rows_. */
     void harvestRow(int frame, const FrameStats &fs, const RowCallback &cb);
 
     /** Derive metrics + trace counter tracks from the finished row. */
     void publishFrame(const FrameRow &row);
 
-    /** Write the manifest CSV next to the checkpoint. */
-    void writeManifest(const RunManifest &manifest) const;
+    /** Crash-loop containment: revive due simulators before @p frame. */
+    void reviveQuarantined(const ResilienceConfig &rc, int frame);
+
+    /** Push the /healthz and /runz documents. */
+    void publishTelemetry(const char *status, uint32_t next_frame,
+                          int checkpoint_write_failures) const;
 
     Workload &workload_;
     DriverConfig config_;

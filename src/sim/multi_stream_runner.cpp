@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
@@ -160,16 +159,6 @@ formatBurn(double v)
 }
 
 } // namespace
-
-size_t
-MultiStreamManifest::quarantinedCount() const
-{
-    size_t n = 0;
-    for (const StreamManifestEntry &s : streams)
-        if (s.quarantined)
-            ++n;
-    return n;
-}
 
 MultiStreamRunner::MultiStreamRunner(const MultiStreamConfig &config)
     : cfg_(config),
@@ -588,7 +577,7 @@ MultiStreamRunner::evaluateSlo(uint32_t round)
 
 void
 MultiStreamRunner::publishTelemetry(const char *status, uint32_t next_round,
-                                    int checkpoint_write_failures)
+                                    int checkpoint_write_failures) const
 {
     if (!obs_ || !obs_->telemetry())
         return;
@@ -641,20 +630,76 @@ MultiStreamRunner::publishTelemetry(const char *status, uint32_t next_round,
     obs_->telemetry()->publishRunz(r.str());
 }
 
-MultiStreamManifest
-MultiStreamRunner::run(const ResilienceConfig &res)
+void
+MultiStreamRunner::runRound(uint32_t round, AuditLevel audit)
 {
-    using Clock = std::chrono::steady_clock;
-    using MsDouble = std::chrono::duration<double, std::milli>;
-
-    uint32_t round = 0;
-    if (res.resume) {
-        if (res.checkpoint_path.empty())
-            throw Exception(ErrorCode::BadArgument,
-                            "--resume requires --checkpoint=PATH");
-        round = loadCheckpoint(res.checkpoint_path);
+    // Fault-injection hooks fire before any work so a round-0 failure
+    // means the stream never contributes a byte.
+    for (uint32_t i = 0; i < streams_.size(); ++i) {
+        const StreamRuntime &st = *streams_[i];
+        if (!st.dead && st.spec.fail_at_round >= 0 &&
+            static_cast<uint32_t>(st.spec.fail_at_round) == round)
+            quarantineStream(i, round,
+                             {ErrorCode::Transient,
+                              "injected stream fault at round " +
+                                  std::to_string(round)});
     }
 
+    recordRound(round);
+
+    // Serial replay in stream order: the only writer of the shared L2,
+    // so output bytes cannot depend on recording concurrency.
+    for (uint32_t i = 0; i < streams_.size(); ++i) {
+        StreamRuntime &st = *streams_[i];
+        if (st.dead)
+            continue;
+        try {
+            // Replay+harvest samples roll up under the tenant's own
+            // "stream:<name>" root (record-phase work already carries
+            // the sweep leg named after the stream).
+            ScopedProfileStage stream_prof(
+                profileInternAnnotation("stream:" + st.name),
+                /*with_counters=*/true);
+            replayStream(i);
+            harvestRow(i, round);
+            st.sim->audit(audit);
+        } catch (const Exception &e) {
+            quarantineStream(i, round, e.error());
+        } catch (const std::exception &e) {
+            quarantineStream(i, round, {ErrorCode::None, e.what()});
+        }
+        st.clearRecording();
+    }
+    try {
+        CacheAuditor::checkL2(*l2_, audit);
+    } catch (...) {
+        // A shared-L2 invariant violation is fatal; capture the last
+        // moments before the exception unwinds the run.
+        flightDump("audit");
+        throw;
+    }
+
+    if (cfg_.repartition_every > 0 &&
+        (round + 1) % cfg_.repartition_every == 0)
+        repartition(round);
+
+    evaluateSlo(round);
+    publishRound(round);
+
+    if (cfg_.round_sleep_ms > 0)
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(cfg_.round_sleep_ms));
+}
+
+RunManifest
+MultiStreamRunner::run(const ResilienceConfig &res)
+{
+    // Reviving a tenant would need quarantine state the MST snapshot
+    // does not carry.
+    if (res.restart_limit > 0)
+        throw Exception(ErrorCode::BadArgument,
+                        "--restart-limit: sweeps only; a multi-stream run "
+                        "never revives a quarantined stream");
     if (obs_ && !obs_->sloRules().empty()) {
         for (const SloRule &r : obs_->sloRules())
             if (!isStreamSloMetric(r.metric))
@@ -667,185 +712,29 @@ MultiStreamRunner::run(const ResilienceConfig &res)
         slo_ = std::make_unique<SloTracker>(obs_->sloRules());
     }
 
-    RunOutcome outcome = RunOutcome::Completed;
-    uint32_t checkpoints_written = 0;
-    int checkpoint_write_failures = 0;
-    uint32_t ckpt_backoff = 0; ///< doubling skip multiplier (0 = healthy)
-    int ckpt_retry_at = -1;    ///< first round allowed to retry commits
-    const Clock::time_point run_start = Clock::now();
-
-    publishTelemetry("serving", round, checkpoint_write_failures);
-
-    for (; round < cfg_.rounds; ++round) {
-        if (cancellationRequested()) {
-            outcome = RunOutcome::Cancelled;
-            break;
-        }
-        if (res.wall_budget_ms > 0.0 &&
-            MsDouble(Clock::now() - run_start).count() >=
-                res.wall_budget_ms) {
-            outcome = RunOutcome::BudgetExhausted;
-            break;
-        }
-
-        const Clock::time_point round_start = Clock::now();
-
-        flightFrame(round);
-
-        // Fault-injection hooks fire before any work so a round-0
-        // failure means the stream never contributes a byte.
-        for (uint32_t i = 0; i < streams_.size(); ++i) {
-            const StreamRuntime &st = *streams_[i];
-            if (!st.dead && st.spec.fail_at_round >= 0 &&
-                static_cast<uint32_t>(st.spec.fail_at_round) == round)
-                quarantineStream(i, round,
-                                 {ErrorCode::Transient,
-                                  "injected stream fault at round " +
-                                      std::to_string(round)});
-        }
-
-        recordRound(round);
-
-        // Serial replay in stream order: the only writer of the shared
-        // L2, so output bytes cannot depend on recording concurrency.
-        for (uint32_t i = 0; i < streams_.size(); ++i) {
-            StreamRuntime &st = *streams_[i];
-            if (st.dead)
-                continue;
-            try {
-                // Replay+harvest samples roll up under the tenant's
-                // own "stream:<name>" root (record-phase work already
-                // carries the sweep leg named after the stream).
-                ScopedProfileStage stream_prof(
-                    profileInternAnnotation("stream:" + st.name),
-                    /*with_counters=*/true);
-                replayStream(i);
-                harvestRow(i, round);
-                st.sim->audit(res.audit);
-            } catch (const Exception &e) {
-                quarantineStream(i, round, e.error());
-            } catch (const std::exception &e) {
-                quarantineStream(i, round, {ErrorCode::None, e.what()});
-            }
-            st.clearRecording();
-        }
-        try {
-            CacheAuditor::checkL2(*l2_, res.audit);
-        } catch (...) {
-            // A shared-L2 invariant violation is fatal; capture the
-            // last moments before the exception unwinds the run.
-            flightDump("audit");
-            throw;
-        }
-
-        if (cfg_.repartition_every > 0 &&
-            (round + 1) % cfg_.repartition_every == 0)
-            repartition(round);
-
-        evaluateSlo(round);
-        publishRound(round);
-        publishTelemetry("serving", round + 1, checkpoint_write_failures);
-
-        if (res.frame_deadline_ms > 0.0 &&
-            MsDouble(Clock::now() - round_start).count() >
-                res.frame_deadline_ms) {
-            outcome = RunOutcome::DeadlineExceeded;
-            ++round;
-            break;
-        }
-
-        if (!res.checkpoint_path.empty() && res.checkpoint_every > 0 &&
-            (round + 1) % res.checkpoint_every == 0 &&
-            static_cast<int>(round + 1) >= ckpt_retry_at) {
-            try {
-                saveCheckpoint(res.checkpoint_path, round + 1);
-                ckpt_backoff = 0;
-                ckpt_retry_at = -1;
-                if (res.die_after_checkpoints > 0 &&
-                    ++checkpoints_written >= res.die_after_checkpoints) {
-                    std::fflush(nullptr);
-                    std::raise(SIGKILL);
-                }
-            } catch (const Exception &e) {
-                // Same skip-with-backoff ladder as runSupervised: a
-                // checkpoint that cannot land must not kill the serving
-                // rounds that produced it.
-                ++checkpoint_write_failures;
-                ckpt_backoff =
-                    std::min<uint32_t>(ckpt_backoff ? ckpt_backoff * 2 : 1,
-                                       64);
-                ckpt_retry_at = static_cast<int>(
-                    round + 1 +
-                    ckpt_backoff *
-                        std::max<uint32_t>(1, res.checkpoint_every));
-                logWarn("MultiStreamRunner: checkpoint write failed (" +
-                        e.error().describe() + "); retrying at round " +
-                        std::to_string(ckpt_retry_at));
-                if (obs_) {
-                    auto guard = obs_->metrics().updateGuard();
-                    obs_->metrics()
-                        .counter("checkpoint.write_failed")
-                        .inc();
-                }
-                flightEvent("checkpoint.write_failed", "resilience");
-            }
-        }
-
-        if (cfg_.round_sleep_ms > 0)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(cfg_.round_sleep_ms));
-    }
-
-    if (outcome == RunOutcome::DeadlineExceeded ||
-        outcome == RunOutcome::BudgetExhausted)
-        flightDump("watchdog");
-
-    if (obs_)
-        obs_->flush();
-
-    uint32_t completed = 0;
-    for (const auto &r : rows_)
-        for (const StreamRoundRow &row : r)
-            completed = std::max(completed, row.round + 1);
-
-    MultiStreamManifest manifest = buildManifest(outcome, completed, round);
-    manifest.checkpoint_write_failures = checkpoint_write_failures;
-    if (!res.checkpoint_path.empty()) {
-        try {
-            saveCheckpoint(res.checkpoint_path, round);
-        } catch (const Exception &e) {
-            ++manifest.checkpoint_write_failures;
-            logWarn("MultiStreamRunner: final checkpoint write failed (" +
-                    e.error().describe() + ")");
-            // The run's durable state just failed to land: preserve the
-            // last moments for the post-mortem.
-            flightDump("io");
-        }
-        manifest.checkpoint = res.checkpoint_path;
-    }
-    publishTelemetry(runOutcomeName(outcome), round,
-                     manifest.checkpoint_write_failures);
-    return manifest;
-}
-
-MultiStreamManifest
-MultiStreamRunner::buildManifest(RunOutcome outcome,
-                                 uint32_t rounds_completed,
-                                 uint32_t next_round) const
-{
-    MultiStreamManifest m;
-    m.outcome = outcome;
-    m.rounds_completed = rounds_completed;
-    m.next_round = next_round;
-    for (const auto &st : streams_) {
-        StreamManifestEntry e;
-        e.name = st->name;
-        e.quarantined = st->dead;
-        e.error = st->error;
-        e.at_round = st->quarantined_at;
-        m.streams.push_back(std::move(e));
-    }
-    return m;
+    SupervisedSteps steps;
+    steps.count = cfg_.rounds;
+    steps.entity = "stream";
+    steps.step = [&](uint32_t round) { runRound(round, res.audit); };
+    steps.save = [this](const std::string &path, uint32_t next) {
+        saveCheckpoint(path, next);
+    };
+    steps.load = [this](const std::string &path) {
+        return loadCheckpoint(path);
+    };
+    steps.publish = [this](const char *status, uint32_t next,
+                           int write_failures) {
+        publishTelemetry(status, next, write_failures);
+    };
+    steps.entries = [this] {
+        std::vector<ManifestEntry> out;
+        for (const auto &st : streams_)
+            out.push_back({st->name, st->dead,
+                           static_cast<int>(st->quarantined_at), st->error,
+                           0});
+        return out;
+    };
+    return superviseRun(res, steps, obs_);
 }
 
 std::vector<std::string>
@@ -1001,10 +890,6 @@ MultiStreamRunner::loadCheckpoint(const std::string &path)
     }
 
     const uint32_t next_round = r.u32();
-    if (next_round > cfg_.rounds)
-        throw Exception(ErrorCode::Corrupt,
-                        "MultiStreamRunner: resume round beyond the "
-                        "configured rounds");
     l2_->load(r);
 
     for (uint32_t i = 0; i < streams_.size(); ++i) {

@@ -23,10 +23,11 @@
  *    and therefore every counter, CSV and checkpoint — is invariant to
  *    --jobs.
  *
- * Robustness mirrors MultiConfigRunner: a stream that throws is
- * quarantined (its shared-L2 blocks are released to the survivors and
- * it stops participating), rounds checkpoint to a crash-safe snapshot,
- * and overload is shed gracefully — a stream exceeding its host
+ * Robustness mirrors MultiConfigRunner, under the same supervision
+ * loop (superviseRun()): a stream that throws is quarantined (its
+ * shared-L2 blocks are released to the survivors and it stops
+ * participating), rounds checkpoint to a crash-safe snapshot, and
+ * overload is shed gracefully — a stream exceeding its host
  * bandwidth budget gets an LOD bias applied during replay (the PR-1
  * MIP-fallback idea turned into admission control) instead of stalling
  * the other tenants.
@@ -42,7 +43,6 @@
 #include "host/bandwidth.hpp"
 #include "obs/reuse_profiler.hpp"
 #include "raster/sampler.hpp"
-#include "sim/multi_config_runner.hpp"
 #include "sim/resilience.hpp"
 #include "workload/workload.hpp"
 
@@ -132,28 +132,6 @@ struct StreamRoundRow
     uint8_t quarantined = 0; ///< 1 on the stream's final (fault) row
 };
 
-/** Per-stream record in the run manifest. */
-struct StreamManifestEntry
-{
-    std::string name; ///< "<index>:<workload>/<filter>"
-    bool quarantined = false;
-    Error error;           ///< meaningful when quarantined
-    uint32_t at_round = 0; ///< round the quarantine hit
-};
-
-/** Outcome summary for a whole multi-stream run. */
-struct MultiStreamManifest
-{
-    RunOutcome outcome = RunOutcome::Completed;
-    uint32_t rounds_completed = 0;
-    uint32_t next_round = 0;
-    std::string checkpoint; ///< path written, empty if none
-    int checkpoint_write_failures = 0; ///< commits skipped on I/O failure
-    std::vector<StreamManifestEntry> streams;
-
-    size_t quarantinedCount() const;
-};
-
 /**
  * The runner. Construct, optionally attach Observability, call run().
  */
@@ -178,13 +156,17 @@ class MultiStreamRunner
     void setObservability(Observability *obs) { obs_ = obs; }
 
     /**
-     * Run (or resume) the configured rounds under the given
-     * supervision policy. Returns the manifest; per-stream faults are
-     * quarantined into it, never thrown.
-     * @throws mltc::Exception on checkpoint I/O failures and on
-     *         VersionMismatch / Corrupt resume snapshots.
+     * Run (or resume) the configured rounds under superviseRun(), one
+     * round per step. Returns the manifest (one "stream" entry per
+     * tenant, also written as `<checkpoint>.manifest`); per-stream
+     * faults are quarantined into it, never thrown. A quarantined
+     * tenant is never revived.
+     * @throws mltc::Exception — BadArgument for a non-zero
+     *         res.restart_limit or an unknown SLO metric;
+     *         VersionMismatch / Corrupt resume snapshots; a shared-L2
+     *         audit violation.
      */
-    MultiStreamManifest run(const ResilienceConfig &res);
+    RunManifest run(const ResilienceConfig &res);
 
     uint32_t streamCount() const
     {
@@ -265,6 +247,7 @@ class MultiStreamRunner
     };
 
     void buildStream(uint32_t index, const StreamSpec &spec);
+    void runRound(uint32_t round, AuditLevel audit);
     void recordRound(uint32_t round);
     void recordThrasher(StreamRuntime &st);
     void replayStream(uint32_t index);
@@ -274,12 +257,9 @@ class MultiStreamRunner
     void publishRound(uint32_t round);
     void evaluateSlo(uint32_t round);
     void publishTelemetry(const char *status, uint32_t next_round,
-                          int checkpoint_write_failures);
+                          int checkpoint_write_failures) const;
     void saveCheckpoint(const std::string &path, uint32_t next_round) const;
     uint32_t loadCheckpoint(const std::string &path);
-    MultiStreamManifest buildManifest(RunOutcome outcome,
-                                      uint32_t rounds_completed,
-                                      uint32_t next_round) const;
 
     MultiStreamConfig cfg_;
     std::vector<std::unique_ptr<StreamRuntime>> streams_;

@@ -95,7 +95,7 @@ TEST(MultiStream, SingleSharedStreamMatchesDirectRun)
     MultiStreamConfig ms = base(L2SharePolicy::Shared);
     ms.streams.push_back(spec("village", FilterMode::Bilinear));
     MultiStreamRunner runner(ms);
-    const MultiStreamManifest manifest = runner.run({});
+    const RunManifest manifest = runner.run({});
     EXPECT_EQ(manifest.outcome, RunOutcome::Completed);
     EXPECT_EQ(manifest.quarantinedCount(), 0u);
 
@@ -228,14 +228,12 @@ TEST(MultiStream, QuarantineLeavesSurvivorCsvBytesUntouched)
         ms.streams.push_back(spec(kThrasherWorkload, FilterMode::Bilinear));
         ms.streams[2].fail_at_round = fail_round;
         MultiStreamRunner runner(ms);
-        const MultiStreamManifest manifest = runner.run({});
+        const RunManifest manifest = runner.run({});
         EXPECT_EQ(manifest.quarantinedCount(), 1u) << tag;
-        EXPECT_TRUE(manifest.streams[2].quarantined) << tag;
-        EXPECT_EQ(manifest.streams[2].error.code, ErrorCode::Transient)
+        EXPECT_TRUE(manifest.entries[2].quarantined) << tag;
+        EXPECT_EQ(manifest.entries[2].error.code, ErrorCode::Transient)
             << tag;
-        EXPECT_EQ(manifest.streams[2].at_round,
-                  static_cast<uint32_t>(fail_round))
-            << tag;
+        EXPECT_EQ(manifest.entries[2].quarantined_at, fail_round) << tag;
         std::vector<std::string> bytes;
         for (uint32_t i = 0; i < 2; ++i) {
             const std::string path =
@@ -444,6 +442,27 @@ TEST(MultiStream, RejectsInvalidConfiguration)
     no_rounds.rounds = 0;
     no_rounds.streams.push_back(spec("village", FilterMode::Bilinear));
     EXPECT_THROW(MultiStreamRunner{no_rounds}, std::invalid_argument);
+}
+
+TEST(MultiStream, RejectsRestartLimitNamingTheFlag)
+{
+    // A quarantined tenant is never revived: --restart-limit must fail
+    // loudly rather than be silently ignored.
+    MultiStreamConfig ms = base(L2SharePolicy::Shared);
+    ms.streams.push_back(spec("village", FilterMode::Bilinear));
+    MultiStreamRunner runner(ms);
+    ResilienceConfig res;
+    res.restart_limit = 3;
+    try {
+        runner.run(res);
+        FAIL() << "--restart-limit accepted in stream mode";
+    } catch (const Exception &e) {
+        EXPECT_EQ(e.code(), ErrorCode::BadArgument);
+        EXPECT_NE(std::string(e.what()).find("--restart-limit"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(runner.rows(0).empty()); // rejected before any round
 }
 
 TEST(BandwidthGovernor, HysteresisStepsUpFastAndDownSlow)

@@ -319,7 +319,8 @@ TEST(ResumeEquivalence, WallBudgetStopsEarlyWithCheckpoint)
     Workload wl2 = tiny();
     MultiConfigRunner rest(wl2, driver(FilterMode::Trilinear, 50));
     addSims(rest, {});
-    EXPECT_EQ(rest.loadCheckpoint(snap), m.next_frame);
+    EXPECT_EQ(rest.loadCheckpoint(snap),
+              static_cast<uint32_t>(m.next_frame));
     std::remove(snap.c_str());
     std::remove((snap + ".manifest").c_str());
 }

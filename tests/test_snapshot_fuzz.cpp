@@ -1,20 +1,22 @@
 /**
  * @file
  * Robustness fuzzing for the snapshot format: truncation at every byte,
- * single-bit flips over the whole image, version skew, CRC corruption
- * and hostile length fields. Every malformed snapshot must yield a
- * clean, typed mltc::Exception — never a crash, a hang, an allocation
- * blow-up or silently-loaded garbage.
+ * single-bit flips over the whole image, version skew, CRC corruption,
+ * hostile length fields and out-of-range resume steps. Every malformed
+ * snapshot must yield a clean, typed mltc::Exception — never a crash, a
+ * hang, an allocation blow-up or silently-loaded garbage.
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <unistd.h>
 #include <vector>
 
 #include "core/cache_sim.hpp"
+#include "sim/multi_config_runner.hpp"
 #include "sim/multi_stream_runner.hpp"
 #include "sim/resilience.hpp"
 #include "util/error.hpp"
@@ -319,6 +321,110 @@ TEST(SnapshotFuzz, CacheSimLoadSurvivesTruncationEverywhere)
     }
     std::remove(path.c_str());
     EXPECT_EQ(accepted, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Resume step bounds: a CRC-valid runner checkpoint whose stored next
+// step lies beyond the run must be rejected as Corrupt, naming the value,
+// instead of starting a runaway step loop. The tampered payload is
+// rewrapped in a fresh valid header (as above), so only the supervision
+// loop's bounds check stands in the way.
+
+using SupervisedRunFn = std::function<RunManifest(const ResilienceConfig &)>;
+
+/** Checkpoint bytes left by @p steps runs each stopped after one step. */
+std::vector<uint8_t>
+checkpointAfter(const std::string &snap, uint32_t steps,
+                const SupervisedRunFn &run)
+{
+    for (uint32_t i = 0; i < steps; ++i) {
+        ResilienceConfig rc;
+        rc.checkpoint_path = snap;
+        rc.resume = i > 0;
+        rc.frame_deadline_ms = 1e-9; // every step overruns
+        EXPECT_EQ(run(rc).next_frame, static_cast<int>(i + 1));
+    }
+    return fileBytes(snap);
+}
+
+void
+expectResumeStepRejected(const char *name, uint32_t steps,
+                         const SupervisedRunFn &run)
+{
+    const std::string snap = tempPath(name);
+    const std::vector<uint8_t> one = checkpointAfter(snap, 1, run);
+    const std::vector<uint8_t> two = checkpointAfter(snap, 2, run);
+    // Only configuration precedes the little-endian resume step, so the
+    // first payload byte where the step-1 and step-2 images differ is
+    // the field's low byte.
+    const size_t kHeader = 24; // magic[8] + version + length + crc
+    size_t at = kHeader;
+    while (at < one.size() && at < two.size() && one[at] == two[at])
+        ++at;
+    ASSERT_LT(at + 4, one.size());
+    ASSERT_EQ(one[at], 1u);
+    ASSERT_EQ(two[at], 2u);
+
+    for (const uint32_t next : {steps + 1, 0x80000000u, 0xFFFFFFFFu}) {
+        SnapshotWriter w(snap);
+        for (size_t i = kHeader; i < one.size(); ++i)
+            w.u8(i >= at && i < at + 4
+                     ? static_cast<uint8_t>(next >> (8 * (i - at)))
+                     : one[i]);
+        w.finish();
+        ResilienceConfig rc;
+        rc.checkpoint_path = snap;
+        rc.resume = true;
+        try {
+            run(rc);
+            ADD_FAILURE() << name << ": resume step " << next << " accepted";
+        } catch (const Exception &e) {
+            EXPECT_EQ(e.code(), ErrorCode::Corrupt) << name;
+            EXPECT_NE(std::string(e.what()).find(std::to_string(next)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    for (const char *suffix : {"", ".prev", ".manifest"})
+        std::remove((snap + suffix).c_str());
+}
+
+TEST(SnapshotFuzz, RunCheckpointRejectsResumeFrameBeyondTheClip)
+{
+    VillageParams p;
+    p.houses = 2;
+    p.trees = 1;
+    p.ground_texture_size = 64;
+    p.wall_texture_size = 64;
+    Workload wl = buildVillage(p);
+    DriverConfig cfg;
+    cfg.width = 64;
+    cfg.height = 48;
+    cfg.frames = 6;
+    expectResumeStepRejected(
+        "fuzz_run_next.snap", 6, [&](const ResilienceConfig &rc) {
+            MultiConfigRunner runner(wl, cfg);
+            runner.addSim(CacheSimConfig::twoLevel(4 << 10, 1 << 20), "l2");
+            return runner.runSupervised(rc);
+        });
+}
+
+TEST(SnapshotFuzz, MultiStreamCheckpointRejectsResumeRoundBeyondTheRun)
+{
+    MultiStreamConfig ms;
+    ms.width = 64;
+    ms.height = 48;
+    ms.rounds = 6;
+    ms.l1_bytes = 4ull << 10;
+    ms.l2_bytes = 256ull << 10;
+    StreamSpec thrasher;
+    thrasher.workload = kThrasherWorkload;
+    ms.streams = {thrasher};
+    expectResumeStepRejected("fuzz_mst_next.snap", 6,
+                             [&](const ResilienceConfig &rc) {
+                                 MultiStreamRunner runner(ms);
+                                 return runner.run(rc);
+                             });
 }
 
 // ---------------------------------------------------------------------------
