@@ -355,9 +355,10 @@ BM_CacheSimAccessClassified(benchmark::State &state)
 BENCHMARK(BM_CacheSimAccessClassified);
 
 /**
- * Two tenants interleaving through one shared Utility-policy L2: the
- * per-access cost of the multi-tenant path (stream-tagged page table,
- * quota-constrained victim selection, per-stream stats).
+ * Two tenants through one shared Utility-policy L2: the per-access
+ * cost of the multi-tenant path (queued L1 misses drained every 4,096
+ * iterations into the stream-tagged page table, quota-constrained
+ * victim selection, per-stream stats).
  */
 void
 BM_MultiStreamInterference(benchmark::State &state)
@@ -379,6 +380,7 @@ BM_MultiStreamInterference(benchmark::State &state)
     sim_a.bindTexture(tid_a);
     sim_b.bindTexture(tid_b);
     uint32_t xa = 0, ya = 0, xb = 0, yb = 0;
+    uint32_t n = 0;
     for (auto _ : state) {
         xa = (xa + 1) & 255;
         if (xa == 0)
@@ -389,6 +391,11 @@ BM_MultiStreamInterference(benchmark::State &state)
         if (xb < 16)
             yb = (yb + 16) & 255;
         sim_b.access(xb, yb, 0);
+        // A shared-L2 sim queues its L1 misses until endFrame().
+        if (++n % 4096 == 0) {
+            sim_a.endFrame();
+            sim_b.endFrame();
+        }
     }
     state.SetItemsProcessed(state.iterations() * 2);
 }

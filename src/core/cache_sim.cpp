@@ -75,6 +75,11 @@ CacheSim::attachSharedL2(L2TextureCache *l2, uint32_t stream)
     if (bound_ != 0)
         throw std::logic_error(
             "CacheSim: attachSharedL2 after a texture was bound");
+    if (l2 != nullptr && (host_ || profiler_))
+        throw std::logic_error(
+            "CacheSim: attachSharedL2 needs L2 results inline for host "
+            "fault injection and reuse profiling; neither is supported "
+            "on a shared L2");
     l2p_ = l2;
     l2_stream_ = l2 ? stream : 0;
     if (l2 != nullptr) {
@@ -84,6 +89,16 @@ CacheSim::attachSharedL2(L2TextureCache *l2, uint32_t stream)
         if (cfg_.classify_misses && !l2_class_)
             l2_class_ = std::make_unique<MissClassifier>(cfg_.l2.blocks());
     }
+}
+
+void
+CacheSim::setReuseProfiler(ReuseProfiler *profiler)
+{
+    if (profiler != nullptr && l2p_ != nullptr && !l2_)
+        throw std::logic_error(
+            "CacheSim: a reuse profiler needs L2 results inline; it "
+            "cannot attach to a simulator on a shared L2");
+    profiler_ = profiler;
 }
 
 void
@@ -419,6 +434,62 @@ CacheSim::handleTexel(uint32_t x, uint32_t y, uint32_t mip)
     handleMiss(x, y, mip, key, tile);
 }
 
+// Out of line: the growth path of the queue would otherwise bloat
+// handleMiss(), which the owned-L2 path runs too.
+__attribute__((noinline)) void
+CacheSim::queueSharedMiss(uint32_t t_index, uint32_t l1_sub, uint32_t mip)
+{
+    l2_queue_.push_back({t_index, bound_,
+                         static_cast<uint32_t>(host_sector_bytes_),
+                         static_cast<uint16_t>(l1_sub),
+                         static_cast<uint16_t>(mip)});
+}
+
+// Inlined into the owned path's handleMiss(), where it used to live.
+__attribute__((always_inline)) inline L2Result
+CacheSim::serviceL2(uint32_t t_index, uint32_t l1_sub, uint64_t sector_bytes,
+                    TextureId tid, uint32_t mip)
+{
+    const L2Result res =
+        l2p_->access(t_index, l1_sub, sector_bytes, l2_stream_);
+    switch (res) {
+      case L2Result::FullHit:
+        ++frame_.l2_full_hits;
+        frame_.l2_read_bytes += cfg_.l1.lineBytes();
+        break;
+      case L2Result::PartialHit:
+        ++frame_.l2_partial_hits;
+        frame_.host_bytes += sector_bytes * l2p_->lastDownloadSectors();
+        break;
+      case L2Result::FullMiss:
+        ++frame_.l2_full_misses;
+        frame_.host_bytes += sector_bytes * l2p_->lastDownloadSectors();
+        frame_.victim_steps_max = std::max(frame_.victim_steps_max,
+                                           l2p_->lastVictimSteps());
+        break;
+    }
+    if (l2_class_) {
+        // Sector-granular classification over a block-granular shadow:
+        // the unit of "seen" is the (block, sector) pair, while the
+        // fully-associative LRU shadows whole blocks (the allocation
+        // unit), so conflict = a clock-vs-LRU replacement loss.
+        const uint64_t sector_key =
+            (static_cast<uint64_t>(t_index) << 16) | l1_sub;
+        const bool full_hit = res == L2Result::FullHit;
+        const auto c = l2_class_->access(
+            sector_key, t_index, full_hit, tid, mip,
+            full_hit ? 0 : sector_bytes * l2p_->lastDownloadSectors());
+        if (c) {
+            switch (*c) {
+              case MissClass::Compulsory: ++frame_.l2_compulsory; break;
+              case MissClass::Capacity: ++frame_.l2_capacity; break;
+              case MissClass::Conflict: ++frame_.l2_conflict; break;
+            }
+        }
+    }
+    return res;
+}
+
 void
 CacheSim::handleMiss(uint32_t x, uint32_t y, uint32_t mip, uint64_t key,
                      uint64_t tile)
@@ -448,6 +519,15 @@ CacheSim::handleMiss(uint32_t x, uint32_t y, uint32_t mip, uint64_t key,
             ++frame_.tlb_hits;
     }
 
+    if (!l2_) {
+        // Shared L2: queue the lookup for drainSharedL2(). The L1 fill
+        // does not depend on its outcome.
+        queueSharedMiss(t_index, vb.l1_sub, mip);
+        l1_.fill(key);
+        last_tile_ = tile;
+        return;
+    }
+
     // Under fault injection, any access that needs a download (partial
     // hit or full miss) must survive the fallible host channel before
     // the L2 may mutate: on retry exhaustion no block is allocated, no
@@ -460,53 +540,28 @@ CacheSim::handleMiss(uint32_t x, uint32_t y, uint32_t mip, uint64_t key,
     }
 
     const L2Result res =
-        l2p_->access(t_index, vb.l1_sub, host_sector_bytes_, l2_stream_);
-    switch (res) {
-      case L2Result::FullHit:
-        ++frame_.l2_full_hits;
-        frame_.l2_read_bytes += cfg_.l1.lineBytes();
-        break;
-      case L2Result::PartialHit:
-        ++frame_.l2_partial_hits;
-        frame_.host_bytes +=
-            host_sector_bytes_ * l2p_->lastDownloadSectors();
-        break;
-      case L2Result::FullMiss:
-        ++frame_.l2_full_misses;
-        frame_.host_bytes +=
-            host_sector_bytes_ * l2p_->lastDownloadSectors();
-        frame_.victim_steps_max = std::max(frame_.victim_steps_max,
-                                           l2p_->lastVictimSteps());
-        break;
-    }
+        serviceL2(t_index, vb.l1_sub, host_sector_bytes_, bound_, mip);
     if (profiler_) [[unlikely]]
         profiler_->onL2Sector(
             (static_cast<uint64_t>(t_index) << 16) | vb.l1_sub,
             res == L2Result::FullHit, x, y, mip);
-    if (l2_class_) {
-        // Sector-granular classification over a block-granular shadow:
-        // the unit of "seen" is the (block, sector) pair, while the
-        // fully-associative LRU shadows whole blocks (the allocation
-        // unit), so conflict = a clock-vs-LRU replacement loss.
-        const uint64_t sector_key =
-            (static_cast<uint64_t>(t_index) << 16) | vb.l1_sub;
-        const bool full_hit = res == L2Result::FullHit;
-        const auto c = l2_class_->access(
-            sector_key, t_index, full_hit, bound_, mip,
-            full_hit ? 0
-                     : host_sector_bytes_ * l2p_->lastDownloadSectors());
-        if (c) {
-            switch (*c) {
-              case MissClass::Compulsory: ++frame_.l2_compulsory; break;
-              case MissClass::Capacity: ++frame_.l2_capacity; break;
-              case MissClass::Conflict: ++frame_.l2_conflict; break;
-            }
-        }
-    }
 
     // Step F downloads into L1 in parallel with L2.
     l1_.fill(key);
     last_tile_ = tile;
+}
+
+void
+CacheSim::drainSharedL2()
+{
+    try {
+        for (const SharedMiss &m : l2_queue_)
+            serviceL2(m.t_index, m.l1_sub, m.sector_bytes, m.tid, m.mip);
+    } catch (...) {
+        l2_queue_.clear();
+        throw;
+    }
+    l2_queue_.clear();
 }
 
 bool
@@ -573,6 +628,7 @@ CacheSim::beginPixel(uint32_t px, uint32_t py)
 CacheFrameStats
 CacheSim::endFrame()
 {
+    drainSharedL2();
     if (profiler_) [[unlikely]]
         profiler_->endFrame(frame_.accesses);
     CacheFrameStats out = frame_;
@@ -639,6 +695,10 @@ constexpr uint32_t kSimTag = snapTag("SIM ");
 void
 CacheSim::save(SnapshotWriter &w) const
 {
+    if (!l2_queue_.empty())
+        throw std::logic_error("CacheSim '" + label_ +
+                               "': save() with L1 misses still queued for "
+                               "the shared L2; call endFrame() first");
     w.section(kSimTag);
     // Component-presence flags: a snapshot taken under a different
     // architecture (pull vs L2, TLB on/off, faults on/off) must fail

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/batch_stage.hpp"
 #include "core/l1_cache.hpp"
@@ -215,7 +216,11 @@ class CacheSim final : public TexelAccessSink
      */
     void accessBatch(std::span<const TexelRef> refs) override;
 
-    /** Harvest this frame's counter deltas and mark the boundary. */
+    /**
+     * Harvest this frame's counter deltas and mark the boundary. On a
+     * simulator attached to a shared L2 this first drains the queued
+     * L1 misses into it (drainSharedL2()).
+     */
     CacheFrameStats endFrame();
 
     /** Counters accumulated since construction (all frames). */
@@ -236,8 +241,31 @@ class CacheSim final : public TexelAccessSink
      * texture is bound. The shared cache is NOT serialized by this
      * simulator's save() — the owner (the multi-stream runner)
      * checkpoints it exactly once.
+     *
+     * The access path then touches only private state: the L1 filter,
+     * probe and fill, the TLB, the L2 block tracker and the L1 3C
+     * classifier run inline, and each L1 miss is queued. The queue is
+     * applied to the shared L2 in issue order by drainSharedL2() (and
+     * so by endFrame()), which is where the L2 outcome counters, the
+     * L2 3C classifier and victim_steps_max are updated. Simulators
+     * sharing one L2 may therefore run their access paths concurrently
+     * as long as their drains are serialized. Every counter equals
+     * what servicing each miss inline would produce, because an L1
+     * fill never depends on the L2 outcome once the host path is
+     * infallible.
+     * @throws std::logic_error when this simulator owns an L2, has
+     *         bound a texture, runs host fault injection or has a reuse
+     *         profiler attached (the last two need L2 results inline).
      */
     void attachSharedL2(L2TextureCache *l2, uint32_t stream);
+
+    /**
+     * Apply the L1 misses queued for the attached shared L2, in issue
+     * order, and account their L2 outcomes into the current frame. The
+     * queue is empty afterwards even when an access throws. A no-op
+     * without queued misses.
+     */
+    void drainSharedL2();
 
     /** Tenant stream id used on the attached shared L2. */
     uint32_t l2Stream() const { return l2_stream_; }
@@ -265,8 +293,9 @@ class CacheSim final : public TexelAccessSink
      * attached the profiler is simulator state: it is fed from the
      * access path and serialized into snapshots, so attach it before
      * load() when resuming a profiled run.
+     * @throws std::logic_error on a simulator attached to a shared L2.
      */
-    void setReuseProfiler(ReuseProfiler *profiler) { profiler_ = profiler; }
+    void setReuseProfiler(ReuseProfiler *profiler);
 
     /** The attached profiler, or null. */
     ReuseProfiler *reuseProfiler() const { return profiler_; }
@@ -303,6 +332,8 @@ class CacheSim final : public TexelAccessSink
      * Serialize the complete simulator state (caches, TLB, host path,
      * bound-texture hot state, per-frame and total counters) so a
      * resumed run continues bit-identically.
+     * @throws std::logic_error while L1 misses are queued for a shared
+     *         L2 (call endFrame() first).
      */
     void save(SnapshotWriter &w) const;
 
@@ -336,6 +367,17 @@ class CacheSim final : public TexelAccessSink
      */
     void handleMiss(uint32_t x, uint32_t y, uint32_t mip, uint64_t key,
                     uint64_t tile);
+
+    /**
+     * One L2 lookup and its accounting: outcome counters, host bytes,
+     * victim_steps_max and the L2 3C classifier. Shared by the owned
+     * path (inline in handleMiss) and drainSharedL2().
+     */
+    L2Result serviceL2(uint32_t t_index, uint32_t l1_sub,
+                       uint64_t sector_bytes, TextureId tid, uint32_t mip);
+
+    /** Queue one L1 miss for drainSharedL2() (shared L2 only). */
+    void queueSharedMiss(uint32_t t_index, uint32_t l1_sub, uint32_t mip);
 
     /** accessQuad body, shared by the traced and untraced branches. */
     void quadImpl(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
@@ -378,6 +420,17 @@ class CacheSim final : public TexelAccessSink
     std::unique_ptr<L2TextureCache> l2_;
     L2TextureCache *l2p_ = nullptr; ///< hot-path L2: owned or shared
     uint32_t l2_stream_ = 0;        ///< tenant id on a shared L2
+
+    /** An L1 miss waiting for drainSharedL2(). */
+    struct SharedMiss
+    {
+        uint32_t t_index;
+        TextureId tid;
+        uint32_t sector_bytes; ///< host_sector_bytes_ at issue
+        uint16_t l1_sub;
+        uint16_t mip;
+    };
+    std::vector<SharedMiss> l2_queue_; ///< shared L2 only
     ReuseDistanceTracker *l2_tracker_ = nullptr; ///< not owned
     std::unique_ptr<TextureTlb> tlb_;
     std::unique_ptr<HostFetchPath> host_; ///< null = infallible host

@@ -327,9 +327,8 @@ L2TextureCache::allocBlockFor(uint32_t stream)
             // happen when the pool is full) — fall back to global LRU.
             phys = selector_->selectVictim();
         } else {
-            const uint8_t want = static_cast<uint8_t>(vs);
-            phys = selector_->selectVictimAmong(
-                [&](uint32_t i) { return block_stream_[i] == want; });
+            phys = selector_->selectVictimOwnedBy(block_stream_.data(),
+                                                  static_cast<uint8_t>(vs));
         }
     }
     noteVictimSteps(selector_->lastSearchSteps());

@@ -32,6 +32,24 @@ readSelectorHeader(SnapshotReader &r, ReplacementPolicy policy)
                             replacementPolicyName(policy));
 }
 
+/**
+ * Ring distance from @p from to the first block at or after it
+ * (wrapping) that @p stream owns, or @p n when it owns none. memchr
+ * skips each run of other streams' blocks in one call.
+ */
+uint32_t
+distanceToOwned(const uint8_t *owner, uint32_t n, uint32_t from,
+                uint8_t stream)
+{
+    if (const void *p = std::memchr(owner + from, stream, n - from))
+        return static_cast<uint32_t>(static_cast<const uint8_t *>(p) -
+                                     (owner + from));
+    if (const void *p = std::memchr(owner, stream, from))
+        return n - from +
+               static_cast<uint32_t>(static_cast<const uint8_t *>(p) - owner);
+    return n;
+}
+
 } // namespace
 
 ReplacementPolicy
@@ -81,31 +99,38 @@ ClockSelector::selectVictim()
 }
 
 uint32_t
-ClockSelector::selectVictimAmong(const std::function<bool(uint32_t)> &allowed)
+ClockSelector::selectVictimOwnedBy(const uint8_t *owner, uint8_t stream)
 {
-    // Same sweep as selectVictim(), but disallowed blocks are skipped
-    // *without* clearing their active bits: a partition-constrained
-    // eviction must not age other partitions' recency state. After one
-    // full revolution every allowed block's bit is clear, so the second
-    // revolution returns the first allowed block encountered.
-    last_steps_ = 0;
+    // Same sweep as selectVictim(), but other streams' blocks are
+    // skipped *without* clearing their active bits: a partition-
+    // constrained eviction must not age other partitions' recency
+    // state. Each skipped block still costs one step, as in the BRL
+    // walk; only the simulator jumps the run in one memchr. After one
+    // full revolution every owned block's bit is clear, so the second
+    // revolution returns the first owned block encountered.
     const uint32_t n = static_cast<uint32_t>(active_.size());
-    for (uint32_t step = 0; step < 2 * n; ++step) {
-        ++last_steps_;
-        uint32_t i = hand_;
-        hand_ = (hand_ + 1) % n;
-        if (!allowed(i))
-            continue;
-        if (!active_[i])
+    const uint32_t limit = 2 * n;
+    uint32_t steps = 0;
+    for (;;) {
+        const uint32_t d = distanceToOwned(owner, n, hand_, stream);
+        if (d == n || d >= limit - steps)
+            break;
+        const uint32_t i = hand_ + d < n ? hand_ + d : hand_ + d - n;
+        steps += d + 1;
+        hand_ = i + 1 == n ? 0 : i + 1;
+        if (!active_[i]) {
+            last_steps_ = steps;
             return i;
+        }
         active_[i] = 0;
     }
-    // Unreachable when the caller guarantees an allowed block exists;
-    // fall back to a plain scan so the invariant failure stays local.
-    for (uint32_t i = 0; i < n; ++i)
-        if (allowed(i))
-            return i;
-    return hand_;
+    // Unreachable when the caller guarantees an owned block exists:
+    // the sweep spends its 2n steps, then a plain scan keeps the
+    // invariant failure local.
+    hand_ = (hand_ + (limit - steps)) % n;
+    last_steps_ = limit;
+    const uint32_t d = distanceToOwned(owner, n, 0, stream);
+    return d == n ? hand_ : d;
 }
 
 void
@@ -179,42 +204,36 @@ LruSelector::selectVictim()
 }
 
 uint32_t
-LruSelector::selectVictimAmong(const std::function<bool(uint32_t)> &allowed)
+LruSelector::selectVictimOwnedBy(const uint8_t *owner, uint8_t stream)
 {
-    // Walk from coldest toward hottest until an allowed block appears.
+    // Walk from coldest toward hottest until an owned block appears.
     for (uint32_t i = tail_; i != blocks_; i = prev_[i])
-        if (allowed(i))
+        if (owner[i] == stream)
             return i;
     return tail_;
 }
 
 uint32_t
-FifoSelector::selectVictimAmong(const std::function<bool(uint32_t)> &allowed)
+FifoSelector::selectVictimOwnedBy(const uint8_t *owner, uint8_t stream)
 {
-    // Advance the hand past disallowed blocks without disturbing their
-    // queue position relative to each other.
-    for (uint32_t k = 0; k < blocks_; ++k) {
-        uint32_t i = (hand_ + k) % blocks_;
-        if (allowed(i)) {
-            hand_ = (i + 1) % blocks_;
-            return i;
-        }
-    }
-    return hand_;
+    // Advance the hand past other streams' blocks without disturbing
+    // their queue position relative to each other.
+    const uint32_t d = distanceToOwned(owner, blocks_, hand_, stream);
+    if (d == blocks_)
+        return hand_;
+    const uint32_t i = (hand_ + d) % blocks_;
+    hand_ = (i + 1) % blocks_;
+    return i;
 }
 
 uint32_t
-RandomSelector::selectVictimAmong(const std::function<bool(uint32_t)> &allowed)
+RandomSelector::selectVictimOwnedBy(const uint8_t *owner, uint8_t stream)
 {
     // One RNG draw (keeps the stream aligned with selectVictim), then
-    // the nearest allowed block scanning forward with wraparound.
-    uint32_t start = static_cast<uint32_t>(rng_.below(blocks_));
-    for (uint32_t k = 0; k < blocks_; ++k) {
-        uint32_t i = (start + k) % blocks_;
-        if (allowed(i))
-            return i;
-    }
-    return start;
+    // the nearest owned block scanning forward with wraparound.
+    const uint32_t start = static_cast<uint32_t>(rng_.below(blocks_));
+    const uint32_t d = distanceToOwned(owner, blocks_, start, stream);
+    return d == blocks_ ? start : (start + d) % blocks_;
 }
 
 void

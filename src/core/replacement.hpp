@@ -11,7 +11,6 @@
 #define MLTC_CORE_REPLACEMENT_HPP
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -48,13 +47,14 @@ class VictimSelector
     virtual uint32_t selectVictim() = 0;
 
     /**
-     * Choose a victim restricted to blocks for which @p allowed returns
-     * true (multi-tenant partition enforcement). The caller guarantees
-     * at least one allowed block exists. Recency state of disallowed
-     * blocks is left untouched so other partitions see no side effects.
+     * Choose a victim among the blocks @p stream owns, i.e. the indices
+     * i with owner[i] == stream (multi-tenant partition enforcement;
+     * @p owner has one byte per block). The caller guarantees at least
+     * one such block exists. Recency state of other blocks is left
+     * untouched so other partitions see no side effects.
      */
-    virtual uint32_t
-    selectVictimAmong(const std::function<bool(uint32_t)> &allowed) = 0;
+    virtual uint32_t selectVictimOwnedBy(const uint8_t *owner,
+                                         uint8_t stream) = 0;
 
     /** Steps expended by the last selectVictim() (clock "peskiness"). */
     virtual uint32_t lastSearchSteps() const { return 1; }
@@ -81,8 +81,8 @@ class ClockSelector final : public VictimSelector
 
     void onAccess(uint32_t index) override { active_[index] = 1; }
     uint32_t selectVictim() override;
-    uint32_t
-    selectVictimAmong(const std::function<bool(uint32_t)> &allowed) override;
+    uint32_t selectVictimOwnedBy(const uint8_t *owner,
+                                 uint8_t stream) override;
     uint32_t lastSearchSteps() const override { return last_steps_; }
     void reset() override;
     void save(SnapshotWriter &w) const override;
@@ -105,8 +105,8 @@ class LruSelector final : public VictimSelector
 
     void onAccess(uint32_t index) override;
     uint32_t selectVictim() override;
-    uint32_t
-    selectVictimAmong(const std::function<bool(uint32_t)> &allowed) override;
+    uint32_t selectVictimOwnedBy(const uint8_t *owner,
+                                 uint8_t stream) override;
     void reset() override;
     void save(SnapshotWriter &w) const override;
     void load(SnapshotReader &r) override;
@@ -140,8 +140,8 @@ class FifoSelector final : public VictimSelector
         return v;
     }
 
-    uint32_t
-    selectVictimAmong(const std::function<bool(uint32_t)> &allowed) override;
+    uint32_t selectVictimOwnedBy(const uint8_t *owner,
+                                 uint8_t stream) override;
 
     void reset() override { hand_ = 0; }
     void save(SnapshotWriter &w) const override;
@@ -168,8 +168,8 @@ class RandomSelector final : public VictimSelector
         return static_cast<uint32_t>(rng_.below(blocks_));
     }
 
-    uint32_t
-    selectVictimAmong(const std::function<bool(uint32_t)> &allowed) override;
+    uint32_t selectVictimOwnedBy(const uint8_t *owner,
+                                 uint8_t stream) override;
 
     void reset() override { rng_.reseed(0x5eedull); }
     void save(SnapshotWriter &w) const override;

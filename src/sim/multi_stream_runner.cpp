@@ -31,55 +31,6 @@ namespace {
 
 constexpr uint32_t kMsTag = snapTag("MST ");
 
-/**
- * Appends the rasterizer's spans and binds to a stream's recording.
- * Every entry point is recorded exactly, so the replayed stream does not
- * depend on which one a producer uses.
- */
-class RecordingSink final : public TexelAccessSink
-{
-  public:
-    RecordingSink(std::vector<TexelRef> &refs, std::vector<StreamBind> &binds)
-        : refs_(refs), binds_(binds)
-    {
-    }
-
-    void
-    bindTexture(TextureId tid) override
-    {
-        binds_.push_back({refs_.size(), tid});
-    }
-
-    void
-    beginPixel(uint32_t px, uint32_t py) override
-    {
-        refs_.push_back(TexelRef::pixel(px, py));
-    }
-
-    void
-    access(uint32_t x, uint32_t y, uint32_t mip) override
-    {
-        refs_.push_back(TexelRef::texel(x, y, mip));
-    }
-
-    void
-    accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-               uint32_t mip) override
-    {
-        refs_.push_back(TexelRef::quad(x0, y0, x1, y1, mip));
-    }
-
-    void
-    accessBatch(std::span<const TexelRef> refs) override
-    {
-        refs_.insert(refs_.end(), refs.begin(), refs.end());
-    }
-
-  private:
-    std::vector<TexelRef> &refs_;
-    std::vector<StreamBind> &binds_;
-};
-
 /** Smallest power of two >= @p v. */
 uint32_t
 pow2Ceil(uint32_t v)
@@ -91,9 +42,9 @@ pow2Ceil(uint32_t v)
 }
 
 /**
- * Remap a recorded texel or quad one or more MIP levels coarser (the
- * governor's LOD bias), in place. Exact: clamps to the biased level's
- * extent so non-square pyramids stay in range.
+ * Remap a texel or quad one or more MIP levels coarser (the governor's
+ * LOD bias), in place. Exact: clamps to the biased level's extent so
+ * non-square pyramids stay in range.
  */
 void
 biasRef(const MipPyramid &pyr, uint32_t bias, TexelRef &r)
@@ -112,6 +63,65 @@ biasRef(const MipPyramid &pyr, uint32_t bias, TexelRef &r)
     }
     r.mip = static_cast<uint16_t>(m);
 }
+
+/**
+ * Forwards a stream to its simulator with the governor's LOD bias
+ * applied: every texel and quad goes biasRef() levels coarser, in
+ * spans of at most kChunk refs.
+ */
+class LodBiasSink final : public TexelAccessSink
+{
+  public:
+    LodBiasSink(TexelAccessSink &next, const TextureManager &textures,
+                uint32_t bias)
+        : next_(next), textures_(textures), bias_(bias)
+    {
+    }
+
+    void
+    bindTexture(TextureId tid) override
+    {
+        pyr_ = &textures_.texture(tid).pyramid;
+        next_.bindTexture(tid);
+    }
+
+    void
+    access(uint32_t x, uint32_t y, uint32_t mip) override
+    {
+        const TexelRef r = TexelRef::texel(x, y, mip);
+        accessBatch({&r, 1});
+    }
+
+    void
+    accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
+               uint32_t mip) override
+    {
+        const TexelRef r = TexelRef::quad(x0, y0, x1, y1, mip);
+        accessBatch({&r, 1});
+    }
+
+    void
+    accessBatch(std::span<const TexelRef> refs) override
+    {
+        while (!refs.empty()) {
+            const size_t n = std::min(refs.size(), kChunk);
+            for (size_t i = 0; i < n; ++i) {
+                buf_[i] = refs[i];
+                biasRef(*pyr_, bias_, buf_[i]);
+            }
+            next_.accessBatch({buf_, n});
+            refs = refs.subspan(n);
+        }
+    }
+
+  private:
+    static constexpr size_t kChunk = 1024;
+    TexelAccessSink &next_;
+    const TextureManager &textures_;
+    const uint32_t bias_;
+    const MipPyramid *pyr_ = nullptr;
+    TexelRef buf_[kChunk];
+};
 
 /** SLO metric names the multi-stream runner can sample per round. */
 constexpr const char *kSloMetrics[] = {
@@ -236,7 +246,7 @@ MultiStreamRunner::buildStream(uint32_t index, const StreamSpec &spec)
 }
 
 void
-MultiStreamRunner::recordThrasher(StreamRuntime &st)
+MultiStreamRunner::feedThrasher(StreamRuntime &st, TexelAccessSink &sink)
 {
     // Two L2 capacities' worth of distinct blocks per round, visited
     // in a deterministic linear sweep that persists its cursor.
@@ -246,83 +256,65 @@ MultiStreamRunner::recordThrasher(StreamRuntime &st)
         static_cast<uint64_t>(st.thrasher_grid) * st.thrasher_grid;
     const uint64_t per_round = std::min(2 * l2_blocks, total);
 
-    st.binds.push_back({st.refs.size(), st.thrasher_tid});
+    std::vector<TexelRef> refs;
+    refs.reserve(per_round);
     for (uint64_t i = 0; i < per_round; ++i) {
         const uint64_t b = (st.thrasher_cursor + i) % total;
         const uint32_t bx = static_cast<uint32_t>(b % st.thrasher_grid);
         const uint32_t by = static_cast<uint32_t>(b / st.thrasher_grid);
-        st.refs.push_back(
+        refs.push_back(
             TexelRef::texel(bx * cfg_.l2_tile, by * cfg_.l2_tile, 0));
     }
+    sink.bindTexture(st.thrasher_tid);
+    sink.accessBatch(refs);
     st.thrasher_cursor = (st.thrasher_cursor + per_round) % total;
 }
 
 void
-MultiStreamRunner::recordRound(uint32_t round)
+MultiStreamRunner::renderStream(StreamRuntime &st, uint32_t round,
+                                uint32_t bias)
+{
+    LodBiasSink biased(*st.sim, st.textures(), bias);
+    TexelAccessSink &sink =
+        bias != 0 ? static_cast<TexelAccessSink &>(biased) : *st.sim;
+    if (!st.workload) {
+        feedThrasher(st, sink);
+        return;
+    }
+    Rasterizer raster(cfg_.width, cfg_.height);
+    raster.setFilter(st.spec.filter);
+    raster.setSink(&sink);
+    const int total = st.workload->default_frames;
+    const int frame = static_cast<int>(round + st.spec.phase) % total;
+    const float aspect =
+        static_cast<float>(cfg_.width) / static_cast<float>(cfg_.height);
+    Camera cam = st.workload->cameraAtFrame(frame, total, aspect);
+    raster.renderFrame(st.workload->scene, cam, st.textures());
+}
+
+void
+MultiStreamRunner::runLegs(uint32_t round)
 {
     SweepExecutor sweep(cfg_.jobs);
     for (uint32_t i = 0; i < streams_.size(); ++i) {
         StreamRuntime &st = *streams_[i];
         if (st.dead)
             continue;
-        st.clearRecording();
-        sweep.addLeg(st.name, [this, round, &st](LegContext &) {
-            if (st.workload) {
-                Rasterizer raster(cfg_.width, cfg_.height);
-                raster.setFilter(st.spec.filter);
-                RecordingSink rec(st.refs, st.binds);
-                raster.setSink(&rec);
-                const int total = st.workload->default_frames;
-                const int frame =
-                    static_cast<int>(round + st.spec.phase) % total;
-                const float aspect = static_cast<float>(cfg_.width) /
-                                     static_cast<float>(cfg_.height);
-                Camera cam =
-                    st.workload->cameraAtFrame(frame, total, aspect);
-                raster.renderFrame(st.workload->scene, cam, st.textures());
-            } else {
-                recordThrasher(st);
+        // The bias depends only on this stream's earlier rounds.
+        const uint32_t bias = governor_.bias(i);
+        sweep.addLeg(st.name, [this, round, bias, &st](LegContext &) {
+            // A failing leg keeps its typed error; the serial phase
+            // quarantines it in stream order.
+            try {
+                renderStream(st, round, bias);
+            } catch (const Exception &e) {
+                st.leg_error = e.error();
+            } catch (const std::exception &e) {
+                st.leg_error = Error{ErrorCode::None, e.what()};
             }
         });
     }
-    SweepManifest manifest = sweep.run();
-    // A recording leg should never fail; if one does, quarantine the
-    // stream rather than abort the tenants that are fine.
-    size_t leg = 0;
-    for (uint32_t i = 0; i < streams_.size(); ++i) {
-        StreamRuntime &st = *streams_[i];
-        if (st.dead)
-            continue;
-        const LegResult &lr = manifest.legs[leg++];
-        if (lr.outcome == LegOutcome::Failed)
-            quarantineStream(i, round, {ErrorCode::None, lr.error});
-    }
-}
-
-void
-MultiStreamRunner::replayStream(uint32_t index)
-{
-    StreamRuntime &st = *streams_[index];
-    CacheSim &sim = *st.sim;
-    const uint32_t bias = governor_.bias(index);
-
-    // One accessBatch() per between-bind slice. The governor's LOD bias
-    // rewrites the refs in place: the recording is dropped after the
-    // round anyway.
-    for (size_t b = 0; b < st.binds.size(); ++b) {
-        const StreamBind &bind = st.binds[b];
-        const size_t end = b + 1 < st.binds.size() ? st.binds[b + 1].offset
-                                                   : st.refs.size();
-        const std::span<TexelRef> slice(st.refs.data() + bind.offset,
-                                        end - bind.offset);
-        sim.bindTexture(bind.tid);
-        if (bias != 0) {
-            const MipPyramid &pyr = st.textures().texture(bind.tid).pyramid;
-            for (TexelRef &r : slice)
-                biasRef(pyr, bias, r);
-        }
-        sim.accessBatch(slice);
-    }
+    sweep.run();
 }
 
 void
@@ -367,7 +359,6 @@ MultiStreamRunner::quarantineStream(uint32_t index, uint32_t round,
     st.dead = true;
     st.error = std::move(error);
     st.quarantined_at = round;
-    st.clearRecording();
     // Hand the dead tenant's blocks back to the survivors.
     l2_->releaseStream(index);
 
@@ -645,30 +636,40 @@ MultiStreamRunner::runRound(uint32_t round, AuditLevel audit)
                                   std::to_string(round)});
     }
 
-    recordRound(round);
+    runLegs(round);
 
-    // Serial replay in stream order: the only writer of the shared L2,
-    // so output bytes cannot depend on recording concurrency.
+    // Serial in stream order: the only writer of the shared L2, so
+    // output bytes cannot depend on leg concurrency.
     for (uint32_t i = 0; i < streams_.size(); ++i) {
         StreamRuntime &st = *streams_[i];
         if (st.dead)
             continue;
         try {
-            // Replay+harvest samples roll up under the tenant's own
-            // "stream:<name>" root (record-phase work already carries
-            // the sweep leg named after the stream).
+            // Drain+harvest samples roll up under the tenant's own
+            // "stream:<name>" root (leg work already carries the sweep
+            // leg named after the stream).
             ScopedProfileStage stream_prof(
                 profileInternAnnotation("stream:" + st.name),
                 /*with_counters=*/true);
-            replayStream(i);
-            harvestRow(i, round);
-            st.sim->audit(audit);
+            if (st.leg_error) {
+                // The misses queued before the throw still reach the
+                // L2, as they would have inline.
+                st.sim->drainSharedL2();
+            } else {
+                harvestRow(i, round);
+                st.sim->audit(audit);
+            }
         } catch (const Exception &e) {
-            quarantineStream(i, round, e.error());
+            if (!st.leg_error)
+                st.leg_error = e.error();
         } catch (const std::exception &e) {
-            quarantineStream(i, round, {ErrorCode::None, e.what()});
+            if (!st.leg_error)
+                st.leg_error = Error{ErrorCode::None, e.what()};
         }
-        st.clearRecording();
+        if (st.leg_error) {
+            quarantineStream(i, round, std::move(*st.leg_error));
+            st.leg_error.reset();
+        }
     }
     try {
         CacheAuditor::checkL2(*l2_, audit);

@@ -11,24 +11,26 @@
  * Utility (online quota repartitioning from per-stream reuse-distance
  * miss-ratio curves).
  *
- * Determinism model — record in parallel, replay in order:
+ * Determinism model — private caches in parallel, shared L2 in order:
  *
- *  - a round is one frame per stream. Rasterization is side-effect
- *    free per stream, so rounds record each stream's texel access
- *    stream concurrently on a SweepExecutor (each leg writes only its
- *    own TexelRef buffer and bind index);
- *  - the shared L2 is mutable state, so the recorded spans are
- *    replayed into it strictly serially in stream order, one
- *    accessBatch() per between-bind slice. The replayed byte stream —
- *    and therefore every counter, CSV and checkpoint — is invariant to
- *    --jobs.
+ *  - a round is one frame per stream. Each stream's leg on a
+ *    SweepExecutor renders straight into its own CacheSim, so the
+ *    private work (rasterization, the L1 filter/probe/fill, the
+ *    stream's reuse-distance tracker) runs concurrently and touches
+ *    only that stream's state. The sim queues each L1 miss instead of
+ *    looking it up in the shared L2 (CacheSim::attachSharedL2);
+ *  - the shared L2 is mutable state, so the queued misses are drained
+ *    into it strictly serially in stream order, by each stream's
+ *    endFrame() at harvest. The L2 sees the same lookup sequence for
+ *    any --jobs value, so every counter, CSV and checkpoint is
+ *    invariant to it.
  *
  * Robustness mirrors MultiConfigRunner, under the same supervision
  * loop (superviseRun()): a stream that throws is quarantined (its
  * shared-L2 blocks are released to the survivors and it stops
  * participating), rounds checkpoint to a crash-safe snapshot, and
  * overload is shed gracefully — a stream exceeding its host
- * bandwidth budget gets an LOD bias applied during replay (the PR-1
+ * bandwidth budget gets an LOD bias applied to its next rounds (the
  * MIP-fallback idea turned into admission control) instead of stalling
  * the other tenants.
  */
@@ -36,6 +38,7 @@
 #define MLTC_SIM_MULTI_STREAM_RUNNER_HPP
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,7 +91,10 @@ struct MultiStreamConfig
     uint64_t stream_budget_bytes = 0;
     /** Re-derive Utility quotas every N rounds (0 = never). */
     uint32_t repartition_every = 8;
-    /** Recording threads (<= 1 records serially; replay is always serial). */
+    /**
+     * Threads for the per-stream legs (<= 1 runs them serially); the
+     * shared-L2 drain is always serial.
+     */
     unsigned jobs = 1;
     /** Run the 3C classifiers beside every stream's caches. */
     bool classify_misses = false;
@@ -100,18 +106,6 @@ struct MultiStreamConfig
      */
     uint32_t round_sleep_ms = 0;
     std::vector<StreamSpec> streams;
-};
-
-/**
- * Bind index entry of a recorded stream: the refs from @c offset up to
- * the next entry's offset (or the end) were emitted under texture
- * @c tid. The LOD bias the bandwidth governor assigns is applied
- * during replay, not recording.
- */
-struct StreamBind
-{
-    size_t offset = 0;
-    TextureId tid = 0;
 };
 
 /** One stream's per-round report row. */
@@ -208,7 +202,7 @@ class MultiStreamRunner
 
     /**
      * Write stream @p i's per-round rows to @p path. The bytes depend
-     * only on the replayed access streams, so they are identical for
+     * only on the streams' access sequences, so they are identical for
      * any --jobs value and across a SIGKILL resume.
      * @throws mltc::Exception (Io) on write failure.
      */
@@ -227,8 +221,8 @@ class MultiStreamRunner
         uint64_t thrasher_cursor = 0; ///< next block index to touch
         std::unique_ptr<CacheSim> sim;
         std::unique_ptr<ReuseDistanceTracker> tracker;
-        std::vector<TexelRef> refs;     ///< this round's recorded stream
-        std::vector<StreamBind> binds;  ///< bind index into refs
+        /** Set by a leg that threw this round; quarantined serially. */
+        std::optional<Error> leg_error;
         bool dead = false;
         Error error;
         uint32_t quarantined_at = 0;
@@ -237,20 +231,13 @@ class MultiStreamRunner
         {
             return workload ? *workload->textures : *thrasher_textures;
         }
-
-        void
-        clearRecording()
-        {
-            refs.clear();
-            binds.clear();
-        }
     };
 
     void buildStream(uint32_t index, const StreamSpec &spec);
     void runRound(uint32_t round, AuditLevel audit);
-    void recordRound(uint32_t round);
-    void recordThrasher(StreamRuntime &st);
-    void replayStream(uint32_t index);
+    void runLegs(uint32_t round);
+    void renderStream(StreamRuntime &st, uint32_t round, uint32_t bias);
+    void feedThrasher(StreamRuntime &st, TexelAccessSink &sink);
     void harvestRow(uint32_t index, uint32_t round);
     void quarantineStream(uint32_t index, uint32_t round, Error error);
     void repartition(uint32_t round);

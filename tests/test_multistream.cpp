@@ -12,7 +12,10 @@
  *    victim's quota grows past its fair share and its L2 miss rate
  *    lands within 10% of solo, while the Shared policy inflates it;
  *  - the per-round state checkpoints survive a real SIGKILL: resumed
- *    CSVs are byte-identical to an uninterrupted run.
+ *    CSVs are byte-identical to an uninterrupted run;
+ *  - a CacheSim on a shared L2 queues its L1 misses until endFrame(),
+ *    so the per-stream legs may run concurrently: the outputs do not
+ *    depend on --jobs.
  */
 #include <gtest/gtest.h>
 
@@ -26,8 +29,10 @@
 #include <vector>
 
 #include "core/audit.hpp"
+#include "obs/reuse_profiler.hpp"
 #include "sim/animation_driver.hpp"
 #include "sim/multi_stream_runner.hpp"
+#include "texture/procedural.hpp"
 #include "workload/registry.hpp"
 
 namespace mltc {
@@ -482,6 +487,121 @@ TEST(BandwidthGovernor, HysteresisStepsUpFastAndDownSlow)
     // Unlimited budget never engages.
     BandwidthGovernor off(1, {0, 4});
     EXPECT_EQ(off.observe(0, 1ull << 40), 0u);
+}
+
+TEST(MultiStream, UtilityLegsAreJobsInvariant)
+{
+    // The legs run each tenant's private caches on worker threads and
+    // only the drain touches the shared L2. The thrasher drives the
+    // owner-constrained victim search; the budget engages the LOD bias.
+    auto run = [](unsigned jobs) {
+        MultiStreamConfig ms = base(L2SharePolicy::Utility);
+        ms.rounds = 8;
+        ms.jobs = jobs;
+        ms.stream_budget_bytes = 8 << 10;
+        ms.streams = {spec("village", FilterMode::Bilinear),
+                      spec(kThrasherWorkload, FilterMode::Bilinear)};
+        auto runner = std::make_unique<MultiStreamRunner>(ms);
+        runner->run({});
+        return runner;
+    };
+    const auto serial = run(1);
+    const auto parallel = run(4);
+    for (uint32_t i = 0; i < 2; ++i) {
+        const std::vector<StreamRoundRow> &a = serial->rows(i);
+        const std::vector<StreamRoundRow> &b = parallel->rows(i);
+        ASSERT_EQ(a.size(), 8u);
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t r = 0; r < a.size(); ++r) {
+            const std::string ctx =
+                "stream " + std::to_string(i) + " round " + std::to_string(r);
+            EXPECT_EQ(a[r].accesses, b[r].accesses) << ctx;
+            EXPECT_EQ(a[r].l1_misses, b[r].l1_misses) << ctx;
+            EXPECT_EQ(a[r].l2_full_hits, b[r].l2_full_hits) << ctx;
+            EXPECT_EQ(a[r].l2_partial_hits, b[r].l2_partial_hits) << ctx;
+            EXPECT_EQ(a[r].l2_full_misses, b[r].l2_full_misses) << ctx;
+            EXPECT_EQ(a[r].host_bytes, b[r].host_bytes) << ctx;
+            EXPECT_EQ(a[r].cross_evictions, b[r].cross_evictions) << ctx;
+            EXPECT_EQ(a[r].quota_blocks, b[r].quota_blocks) << ctx;
+            EXPECT_EQ(a[r].alloc_blocks, b[r].alloc_blocks) << ctx;
+            EXPECT_EQ(a[r].lod_bias, b[r].lod_bias) << ctx;
+        }
+        expectTotalsEqual(serial->sim(i).totals(), parallel->sim(i).totals(),
+                          "stream " + std::to_string(i));
+        EXPECT_EQ(serial->sim(i).totals().victim_steps_max,
+                  parallel->sim(i).totals().victim_steps_max);
+    }
+    const L2Stats &a = serial->l2().stats();
+    const L2Stats &b = parallel->l2().stats();
+    EXPECT_EQ(a.lookups, b.lookups);
+    EXPECT_EQ(a.full_hits, b.full_hits);
+    EXPECT_EQ(a.partial_hits, b.partial_hits);
+    EXPECT_EQ(a.full_misses, b.full_misses);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.host_bytes, b.host_bytes);
+    EXPECT_EQ(a.l2_read_bytes, b.l2_read_bytes);
+    EXPECT_EQ(a.victim_steps, b.victim_steps);
+    EXPECT_EQ(a.victim_steps_max, b.victim_steps_max);
+    // Owner-constrained evictions did happen.
+    EXPECT_GT(a.evictions, 0u);
+    EXPECT_GT(serial->l2().streamStats(1).evictions_suffered, 0u);
+}
+
+/** One checker texture and a Utility L2 shared by a single tenant. */
+struct SharedL2Fixture
+{
+    TextureManager textures;
+    TextureId tid = textures.load(
+        "checker", MipPyramid(makeChecker(256, 8, 0xff0000ffu, 0xffffffffu)));
+    L2TextureCache l2{std::vector<TextureManager *>{&textures},
+                      CacheSimConfig::twoLevel(4 << 10, 64 << 10).l2,
+                      L2SharePolicy::Utility};
+};
+
+TEST(SharedL2Sim, AttachRejectsInlineL2Consumers)
+{
+    SharedL2Fixture fx;
+
+    CacheSimConfig faulty = CacheSimConfig::pull(4 << 10);
+    faulty.host.fault_injection = true;
+    CacheSim with_faults(fx.textures, faulty);
+    EXPECT_THROW(with_faults.attachSharedL2(&fx.l2, 0), std::logic_error);
+
+    ReuseProfilerConfig pc;
+    pc.enabled = true;
+    ReuseProfiler profiler(pc);
+    CacheSim profiled(fx.textures, CacheSimConfig::pull(4 << 10));
+    profiled.setReuseProfiler(&profiler);
+    EXPECT_THROW(profiled.attachSharedL2(&fx.l2, 0), std::logic_error);
+
+    // Attaching the profiler afterwards is refused the same way.
+    CacheSim attached(fx.textures, CacheSimConfig::pull(4 << 10));
+    attached.attachSharedL2(&fx.l2, 0);
+    EXPECT_THROW(attached.setReuseProfiler(&profiler), std::logic_error);
+    EXPECT_EQ(attached.reuseProfiler(), nullptr);
+}
+
+TEST(SharedL2Sim, MissesWaitForEndFrameAndBlockSave)
+{
+    SharedL2Fixture fx;
+    CacheSim sim(fx.textures, CacheSimConfig::pull(4 << 10));
+    sim.attachSharedL2(&fx.l2, 0);
+    sim.bindTexture(fx.tid);
+    sim.access(0, 0, 0);
+    sim.access(64, 64, 0);
+
+    // The L1 ran inline; the shared L2 has not been consulted yet.
+    EXPECT_EQ(sim.l1().stats().misses, 2u);
+    EXPECT_EQ(fx.l2.stats().lookups, 0u);
+    SnapshotWriter early(tempPath("shared_l2_sim.snap"));
+    EXPECT_THROW(sim.save(early), std::logic_error);
+
+    const CacheFrameStats fr = sim.endFrame();
+    EXPECT_EQ(fr.l1_misses, 2u);
+    EXPECT_EQ(fr.l2_full_misses, 2u);
+    EXPECT_EQ(fx.l2.stats().lookups, 2u);
+    SnapshotWriter later(tempPath("shared_l2_sim.snap"));
+    EXPECT_NO_THROW(sim.save(later));
 }
 
 } // namespace
