@@ -20,7 +20,9 @@
  *             pool and its miss rate lands within 10% of solo.
  *
  * Output: ext_multitenant.csv, one row per policy. Deterministic for
- * any MLTC_JOBS value (record-parallel, replay-serial runner).
+ * any MLTC_JOBS value: each tenant's private L1 work runs in a parallel
+ * leg, and its L1 misses drain into the shared L2 serially in stream
+ * order.
  */
 #include "bench_common.hpp"
 #include "sim/multi_stream_runner.hpp"
