@@ -42,6 +42,7 @@
 namespace mltc {
 
 class TelemetryServer;
+class ThreadPool;
 
 /** How a sweep leg ended. */
 enum class LegOutcome
@@ -120,15 +121,21 @@ private:
  *
  * jobs <= 1 runs every leg inline on the calling thread in
  * registration order — bit-for-bit the old serial program. jobs > 1
- * runs legs on a ThreadPool; outputs are emitted in registration order
- * regardless of completion order, so both modes produce identical
- * bytes.
+ * runs legs on a ThreadPool (its own, or a borrowed one); outputs are
+ * emitted in registration order regardless of completion order, so
+ * both modes produce identical bytes.
  */
 class SweepExecutor
 {
 public:
     /** @p jobs 0 means ThreadPool::defaultJobs(). */
     explicit SweepExecutor(unsigned jobs = 0);
+
+    /**
+     * Run the legs on @p pool (borrowed, so other work the legs submit
+     * shares its workers); null runs every leg inline.
+     */
+    explicit SweepExecutor(ThreadPool *pool);
 
     /** Register a leg; legs run (or at least emit) in this order. */
     void addLeg(std::string name, std::function<void(LegContext &)> body);
@@ -166,6 +173,7 @@ private:
     void publishLegStatus(const std::vector<const char *> &status) const;
 
     unsigned jobs_;
+    ThreadPool *pool_ = nullptr; ///< borrowed; null: run() owns one
     std::vector<Leg> legs_;
     TelemetryServer *telemetry_ = nullptr;
 };
