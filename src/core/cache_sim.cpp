@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/profiler.hpp"
 #include "obs/reuse_profiler.hpp"
@@ -439,10 +440,13 @@ CacheSim::handleTexel(uint32_t x, uint32_t y, uint32_t mip)
 __attribute__((noinline)) void
 CacheSim::queueSharedMiss(uint32_t t_index, uint32_t l1_sub, uint32_t mip)
 {
-    l2_queue_.push_back({t_index, bound_,
-                         static_cast<uint32_t>(host_sector_bytes_),
-                         static_cast<uint16_t>(l1_sub),
-                         static_cast<uint16_t>(mip)});
+    if (l2_queued_ == l2_chunks_.size() * kMissChunk)
+        l2_chunks_.push_back(
+            std::make_unique_for_overwrite<SharedMiss[]>(kMissChunk));
+    l2_chunks_[l2_queued_ / kMissChunk][l2_queued_ % kMissChunk] = {
+        t_index, bound_, static_cast<uint32_t>(host_sector_bytes_),
+        static_cast<uint16_t>(l1_sub), static_cast<uint16_t>(mip)};
+    ++l2_queued_;
 }
 
 // Inlined into the owned path's handleMiss(), where it used to live.
@@ -554,14 +558,11 @@ CacheSim::handleMiss(uint32_t x, uint32_t y, uint32_t mip, uint64_t key,
 void
 CacheSim::drainSharedL2()
 {
-    try {
-        for (const SharedMiss &m : l2_queue_)
-            serviceL2(m.t_index, m.l1_sub, m.sector_bytes, m.tid, m.mip);
-    } catch (...) {
-        l2_queue_.clear();
-        throw;
+    const size_t n = std::exchange(l2_queued_, 0);
+    for (size_t i = 0; i < n; ++i) {
+        const SharedMiss &m = l2_chunks_[i / kMissChunk][i % kMissChunk];
+        serviceL2(m.t_index, m.l1_sub, m.sector_bytes, m.tid, m.mip);
     }
-    l2_queue_.clear();
 }
 
 bool
@@ -695,7 +696,7 @@ constexpr uint32_t kSimTag = snapTag("SIM ");
 void
 CacheSim::save(SnapshotWriter &w) const
 {
-    if (!l2_queue_.empty())
+    if (l2_queued_ != 0)
         throw std::logic_error("CacheSim '" + label_ +
                                "': save() with L1 misses still queued for "
                                "the shared L2; call endFrame() first");

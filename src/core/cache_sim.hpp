@@ -430,7 +430,15 @@ class CacheSim final : public TexelAccessSink
         uint16_t l1_sub;
         uint16_t mip;
     };
-    std::vector<SharedMiss> l2_queue_; ///< shared L2 only
+    /**
+     * The queue (shared L2 only), in fixed chunks kept for the
+     * simulator's lifetime. It grows without copying or freeing, so
+     * an access path that hops between threads leaves no outgrown
+     * buffers stranded in their malloc arenas.
+     */
+    static constexpr size_t kMissChunk = 4096; ///< 64 KiB
+    std::vector<std::unique_ptr<SharedMiss[]>> l2_chunks_;
+    size_t l2_queued_ = 0;
     ReuseDistanceTracker *l2_tracker_ = nullptr; ///< not owned
     std::unique_ptr<TextureTlb> tlb_;
     std::unique_ptr<HostFetchPath> host_; ///< null = infallible host
