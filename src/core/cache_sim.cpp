@@ -217,25 +217,11 @@ CacheSim::batchImpl(std::span<const TexelRef> refs)
 {
     // The reuse profiler and the L1 3C classifier observe hits as well
     // as misses, so the fast loop below (which skips filtered and hit
-    // texels' side-band work) cannot run under them: replay the span
-    // through the scalar per-texel path instead. The batch still
-    // amortizes the virtual call and the observability check above.
+    // texels' side-band work) cannot run under them: run the span
+    // through the per-texel path instead. The batch still amortizes
+    // the virtual call and the observability check above.
     if (profiler_ || l1_class_) {
-        for (const TexelRef &r : refs) {
-            switch (r.kind) {
-              case TexelRef::kTexel:
-                ++frame_.accesses;
-                handleTexel(r.x0, r.y0, r.mip);
-                break;
-              case TexelRef::kQuad:
-                quadImpl(r.x0, r.y0, r.x1, r.y1, r.mip);
-                break;
-              default:
-                if (profiler_) [[unlikely]]
-                    profiler_->beginPixel(r.x0, r.y0);
-                break;
-            }
-        }
+        perTexelImpl(refs);
         return;
     }
 
@@ -393,6 +379,26 @@ CacheSim::batchImpl(std::span<const TexelRef> refs)
         prev = tileAt(ns - 1);
     }
     last_tile_ = prev;
+}
+
+void
+CacheSim::perTexelImpl(std::span<const TexelRef> refs)
+{
+    for (const TexelRef &r : refs) {
+        switch (r.kind) {
+          case TexelRef::kTexel:
+            ++frame_.accesses;
+            handleTexel(r.x0, r.y0, r.mip);
+            break;
+          case TexelRef::kQuad:
+            quadImpl(r.x0, r.y0, r.x1, r.y1, r.mip);
+            break;
+          default:
+            if (profiler_) [[unlikely]]
+                profiler_->beginPixel(r.x0, r.y0);
+            break;
+        }
+    }
 }
 
 void

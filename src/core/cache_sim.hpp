@@ -355,6 +355,7 @@ class CacheSim final : public TexelAccessSink
   private:
     friend class CacheAuditor;
     friend class AuditTestPeer;
+    friend class BatchReferencePeer; ///< test-only: perTexelImpl()
     /** Service one texel reference (shared by access/accessQuad). */
     void handleTexel(uint32_t x, uint32_t y, uint32_t mip);
 
@@ -385,6 +386,15 @@ class CacheSim final : public TexelAccessSink
 
     /** accessBatch body, shared by the traced and untraced branches. */
     void batchImpl(std::span<const TexelRef> refs);
+
+    /**
+     * The per-texel loop: each texel through handleTexel(), each quad
+     * through quadImpl(), each pixel marker to the reuse profiler.
+     * batchImpl() runs it under a profiler or L1 3C classifier, and the
+     * batch differential (tests/test_batch_equivalence.cpp) uses it as
+     * the reference the staged fast loop must match byte for byte.
+     */
+    void perTexelImpl(std::span<const TexelRef> refs);
 
     /**
      * Coalescing-filter key of the L1 tile containing (x, y, mip); bit

@@ -1,14 +1,16 @@
 /**
  * @file
  * Differential harness for the batched access path
- * (docs/batched_access.md): the batched and scalar pipelines must be
- * *byte-identical* — every CacheFrameStats counter, every snapshot
- * payload byte — over real workloads (Village, City), a synthetic L2
- * thrasher, every filter mode, fault injection, 3C classification and
- * TLB modelling; plus property/fuzz coverage of accessBatch() itself
- * (empty spans, length-1 spans, non-SIMD-width tails, MIP/texture
- * boundaries inside one span, duplicate texels against the coalescing
- * filter).
+ * (docs/batched_access.md): the staged fast loop of
+ * CacheSim::accessBatch() must be *byte-identical* — every
+ * CacheFrameStats counter, every snapshot payload byte — to the
+ * per-texel reference loop (CacheSim::perTexelImpl(), the handleTexel/
+ * quadImpl/handleMiss path) over real workloads (Village, City), a
+ * synthetic L2 thrasher, every filter mode, fault injection, 3C
+ * classification and TLB modelling; plus property/fuzz coverage of
+ * accessBatch() itself (empty spans, length-1 spans, non-SIMD-width
+ * tails, MIP/texture boundaries inside one span, duplicate texels
+ * against the coalescing filter).
  */
 #include <gtest/gtest.h>
 
@@ -24,37 +26,43 @@
 #include "workload/village.hpp"
 
 namespace mltc {
-namespace {
 
 /**
- * The scalar reference consumer: forwards only the scalar entry points
- * to a CacheSim and inherits the default accessBatch(), which replays
- * every span element-by-element through them.
+ * Test-only friend of CacheSim: runs a span through the per-texel
+ * reference loop, bypassing the staged fast loop accessBatch() takes
+ * when no profiler or L1 classifier is attached.
  */
-class ScalarForwardingSink final : public TexelAccessSink
+class BatchReferencePeer
 {
   public:
-    explicit ScalarForwardingSink(CacheSim &sim) : sim_(sim) {}
+    static void
+    perTexel(CacheSim &sim, std::span<const TexelRef> refs)
+    {
+        sim.perTexelImpl(refs);
+    }
+};
+
+namespace {
+
+/** The reference consumer: every span goes to the per-texel loop. */
+class PerTexelSink final : public TexelAccessSink
+{
+  public:
+    explicit PerTexelSink(CacheSim &sim) : sim_(sim) {}
 
     void bindTexture(TextureId tid) override { sim_.bindTexture(tid); }
 
     void
-    beginPixel(uint32_t px, uint32_t py) override
+    accessBatch(std::span<const TexelRef> refs) override
     {
-        sim_.beginPixel(px, py);
+        BatchReferencePeer::perTexel(sim_, refs);
     }
 
     void
     access(uint32_t x, uint32_t y, uint32_t mip) override
     {
-        sim_.access(x, y, mip);
-    }
-
-    void
-    accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-               uint32_t mip) override
-    {
-        sim_.accessQuad(x0, y0, x1, y1, mip);
+        const TexelRef r = TexelRef::texel(x, y, mip);
+        accessBatch({&r, 1});
     }
 
   private:
@@ -138,7 +146,7 @@ faultyHost()
  * The rendering differential: the same workload rendered twice through
  * the full rasterizer → sampler pipeline, once straight into a CacheSim
  * (its accessBatch() fast path) and once into a twin through
- * ScalarForwardingSink (the scalar entry points), must produce
+ * PerTexelSink (the per-texel reference loop), must produce
  * identical per-frame stats and an identical end-state snapshot.
  */
 void
@@ -152,10 +160,10 @@ checkRenderDifferential(Workload (*build)(), FilterMode filter,
     for (int mode = 0; mode < 2; ++mode) {
         Workload wl = build();
         CacheSim sim(*wl.textures, cfg, "diff");
-        ScalarForwardingSink scalar(sim);
+        PerTexelSink reference(sim);
         Rasterizer raster(96, 64);
         raster.setFilter(filter);
-        raster.setSink(mode == 0 ? static_cast<TexelAccessSink *>(&scalar)
+        raster.setSink(mode == 0 ? static_cast<TexelAccessSink *>(&reference)
                                  : &sim);
         const float aspect = 96.0f / 64.0f;
         for (int f = 0; f < frames; ++f) {
@@ -217,7 +225,8 @@ TEST(BatchRenderDifferential, CityTrilinear)
 
 /**
  * Direct-drive differential fixture: hand-built TexelRef streams pushed
- * through accessBatch() on one simulator and replayed scalar on a twin.
+ * through accessBatch() on one simulator and through the per-texel
+ * reference loop on a twin.
  */
 class BatchSpanTest : public ::testing::Test
 {
@@ -228,23 +237,11 @@ class BatchSpanTest : public ::testing::Test
         tex2 = tm.load("u", MipPyramid(Image(128, 128)));
     }
 
-    /** Replay @p refs through the scalar entry points. */
+    /** Run @p refs through the per-texel reference loop. */
     static void
-    replayScalar(CacheSim &sim, const std::vector<TexelRef> &refs)
+    replayPerTexel(CacheSim &sim, const std::vector<TexelRef> &refs)
     {
-        for (const TexelRef &r : refs) {
-            switch (r.kind) {
-              case TexelRef::kTexel:
-                sim.access(r.x0, r.y0, r.mip);
-                break;
-              case TexelRef::kQuad:
-                sim.accessQuad(r.x0, r.y0, r.x1, r.y1, r.mip);
-                break;
-              default:
-                sim.beginPixel(r.x0, r.y0);
-                break;
-            }
-        }
+        BatchReferencePeer::perTexel(sim, refs);
     }
 
     /**
@@ -252,7 +249,7 @@ class BatchSpanTest : public ::testing::Test
      * the given length and assert frame stats + snapshot equality.
      */
     void
-    checkSpans(CacheSim &batched, CacheSim &scalar,
+    checkSpans(CacheSim &batched, CacheSim &reference,
                const std::vector<TexelRef> &refs, size_t span_len,
                const std::string &ctx)
     {
@@ -261,10 +258,10 @@ class BatchSpanTest : public ::testing::Test
             std::vector<TexelRef> span(refs.begin() + i,
                                        refs.begin() + i + n);
             batched.accessBatch(span);
-            replayScalar(scalar, span);
+            replayPerTexel(reference, span);
         }
-        expectStatsEqual(batched.endFrame(), scalar.endFrame(), ctx);
-        EXPECT_EQ(snapshotBytes(batched), snapshotBytes(scalar))
+        expectStatsEqual(batched.endFrame(), reference.endFrame(), ctx);
+        EXPECT_EQ(snapshotBytes(batched), snapshotBytes(reference))
             << ctx << ": snapshot bytes diverge";
     }
 
@@ -317,10 +314,10 @@ TEST_F(BatchSpanTest, EverySpanLengthTailMatchesScalar)
                        size_t{16}, size_t{31}, size_t{67}, size_t{256},
                        size_t{300}}) {
         CacheSim batched(tm, cfg, "batched");
-        CacheSim scalar(tm, cfg, "scalar");
+        CacheSim reference(tm, cfg, "reference");
         batched.bindTexture(tex);
-        scalar.bindTexture(tex);
-        checkSpans(batched, scalar, randomRefs(2000, 256, 7 + len), len,
+        reference.bindTexture(tex);
+        checkSpans(batched, reference, randomRefs(2000, 256, 7 + len), len,
                    "span-len-" + std::to_string(len));
     }
 }
@@ -331,13 +328,13 @@ TEST_F(BatchSpanTest, SpansCrossingMipBoundaries)
     // coalesce the same (x, y) across levels.
     const CacheSimConfig cfg = CacheSimConfig::twoLevel(2 << 10, 64 << 10);
     CacheSim batched(tm, cfg, "batched");
-    CacheSim scalar(tm, cfg, "scalar");
+    CacheSim reference(tm, cfg, "reference");
     batched.bindTexture(tex);
-    scalar.bindTexture(tex);
+    reference.bindTexture(tex);
     std::vector<TexelRef> refs;
     for (uint32_t i = 0; i < 512; ++i)
         refs.push_back(TexelRef::texel(i & 63, (i >> 3) & 63, i % 3));
-    checkSpans(batched, scalar, refs, 128, "mip-boundaries");
+    checkSpans(batched, reference, refs, 128, "mip-boundaries");
 }
 
 TEST_F(BatchSpanTest, TextureBindsBetweenSpans)
@@ -346,30 +343,30 @@ TEST_F(BatchSpanTest, TextureBindsBetweenSpans)
     // reset the coalescing filter identically on both paths.
     const CacheSimConfig cfg = CacheSimConfig::twoLevel(2 << 10, 64 << 10);
     CacheSim batched(tm, cfg, "batched");
-    CacheSim scalar(tm, cfg, "scalar");
+    CacheSim reference(tm, cfg, "reference");
     Rng rng(99);
     for (int round = 0; round < 20; ++round) {
         const TextureId tid = rng.chance(0.5) ? tex : tex2;
         batched.bindTexture(tid);
-        scalar.bindTexture(tid);
+        reference.bindTexture(tid);
         const uint32_t dim = tid == tex ? 256 : 128;
         const auto refs = randomRefs(100, dim, 1000 + round);
         batched.accessBatch(refs);
-        replayScalar(scalar, refs);
+        replayPerTexel(reference, refs);
     }
-    expectStatsEqual(batched.endFrame(), scalar.endFrame(), "binds");
-    EXPECT_EQ(snapshotBytes(batched), snapshotBytes(scalar));
+    expectStatsEqual(batched.endFrame(), reference.endFrame(), "binds");
+    EXPECT_EQ(snapshotBytes(batched), snapshotBytes(reference));
 }
 
 TEST_F(BatchSpanTest, DuplicateTexelsCoalesceIdentically)
 {
     // The one-entry filter must treat a run of identical texels inside
-    // one span exactly as it treats the scalar stream: one L1 probe.
+    // one span exactly as the per-texel loop does: one L1 probe.
     const CacheSimConfig cfg = CacheSimConfig::twoLevel(2 << 10, 64 << 10);
     CacheSim batched(tm, cfg, "batched");
-    CacheSim scalar(tm, cfg, "scalar");
+    CacheSim reference(tm, cfg, "reference");
     batched.bindTexture(tex);
-    scalar.bindTexture(tex);
+    reference.bindTexture(tex);
     std::vector<TexelRef> refs;
     for (int i = 0; i < 50; ++i)
         refs.push_back(TexelRef::texel(5, 5, 0));
@@ -377,7 +374,7 @@ TEST_F(BatchSpanTest, DuplicateTexelsCoalesceIdentically)
     refs.push_back(TexelRef::texel(200, 200, 0));
     for (int i = 0; i < 50; ++i)
         refs.push_back(TexelRef::texel(5, 5, 0));
-    checkSpans(batched, scalar, refs, refs.size(), "duplicates");
+    checkSpans(batched, reference, refs, refs.size(), "duplicates");
 }
 
 TEST_F(BatchSpanTest, QuadsStraddlingTileBoundaries)
@@ -386,15 +383,15 @@ TEST_F(BatchSpanTest, QuadsStraddlingTileBoundaries)
     // inside the batch loop; sweep every alignment phase.
     const CacheSimConfig cfg = CacheSimConfig::twoLevel(2 << 10, 64 << 10);
     CacheSim batched(tm, cfg, "batched");
-    CacheSim scalar(tm, cfg, "scalar");
+    CacheSim reference(tm, cfg, "reference");
     batched.bindTexture(tex);
-    scalar.bindTexture(tex);
+    reference.bindTexture(tex);
     std::vector<TexelRef> refs;
     for (uint32_t y = 0; y < 64; ++y)
         for (uint32_t x = 0; x < 64; ++x)
             refs.push_back(
                 TexelRef::quad(x, y, (x + 1) & 255, (y + 1) & 255, 0));
-    checkSpans(batched, scalar, refs, 97, "quad-tiles");
+    checkSpans(batched, reference, refs, 97, "quad-tiles");
 }
 
 TEST_F(BatchSpanTest, FaultInjectionTakesTheSameSlowPath)
@@ -405,10 +402,10 @@ TEST_F(BatchSpanTest, FaultInjectionTakesTheSameSlowPath)
     CacheSimConfig cfg = CacheSimConfig::twoLevel(2 << 10, 32 << 10);
     cfg.host = faultyHost();
     CacheSim batched(tm, cfg, "batched");
-    CacheSim scalar(tm, cfg, "scalar");
+    CacheSim reference(tm, cfg, "reference");
     batched.bindTexture(tex);
-    scalar.bindTexture(tex);
-    checkSpans(batched, scalar, randomRefs(5000, 256, 41), 113, "faults");
+    reference.bindTexture(tex);
+    checkSpans(batched, reference, randomRefs(5000, 256, 41), 113, "faults");
 }
 
 TEST_F(BatchSpanTest, ClassifiedSimsMatchThroughReplayBranch)
@@ -417,10 +414,10 @@ TEST_F(BatchSpanTest, ClassifiedSimsMatchThroughReplayBranch)
     cfg.classify_misses = true;
     cfg.tlb_entries = 8;
     CacheSim batched(tm, cfg, "batched");
-    CacheSim scalar(tm, cfg, "scalar");
+    CacheSim reference(tm, cfg, "reference");
     batched.bindTexture(tex);
-    scalar.bindTexture(tex);
-    checkSpans(batched, scalar, randomRefs(5000, 256, 43), 77, "classified");
+    reference.bindTexture(tex);
+    checkSpans(batched, reference, randomRefs(5000, 256, 43), 77, "classified");
 }
 
 TEST_F(BatchSpanTest, ThrasherSweepMatchesScalar)
@@ -429,29 +426,29 @@ TEST_F(BatchSpanTest, ThrasherSweepMatchesScalar)
     // thrasher's access pattern — maximal eviction churn on both paths.
     const CacheSimConfig cfg = CacheSimConfig::twoLevel(2 << 10, 32 << 10);
     CacheSim batched(tm, cfg, "batched");
-    CacheSim scalar(tm, cfg, "scalar");
+    CacheSim reference(tm, cfg, "reference");
     batched.bindTexture(tex);
-    scalar.bindTexture(tex);
+    reference.bindTexture(tex);
     std::vector<TexelRef> refs;
     for (int round = 0; round < 4; ++round)
         for (uint32_t y = 0; y < 256; y += 16)
             for (uint32_t x = 0; x < 256; x += 16)
                 refs.push_back(TexelRef::texel(x, y, 0));
-    checkSpans(batched, scalar, refs, 256, "thrasher");
+    checkSpans(batched, reference, refs, 256, "thrasher");
 }
 
 TEST_F(BatchSpanTest, FuzzRandomSpansAndLengths)
 {
     // Seeded fuzz: random streams chopped at random span lengths,
-    // including empties, against the scalar twin. Any divergence fails
+    // including empties, against the per-texel twin. Any divergence fails
     // with the seed in the message.
     for (uint64_t seed = 1; seed <= 8; ++seed) {
         const CacheSimConfig cfg =
             CacheSimConfig::twoLevel(2 << 10, 64 << 10);
         CacheSim batched(tm, cfg, "batched");
-        CacheSim scalar(tm, cfg, "scalar");
+        CacheSim reference(tm, cfg, "reference");
         batched.bindTexture(tex);
-        scalar.bindTexture(tex);
+        reference.bindTexture(tex);
         Rng rng(seed * 7919);
         const auto refs = randomRefs(3000, 256, seed);
         size_t i = 0;
@@ -463,22 +460,22 @@ TEST_F(BatchSpanTest, FuzzRandomSpansAndLengths)
                                        refs.begin() +
                                            static_cast<long>(i + len));
             batched.accessBatch(span);
-            replayScalar(scalar, span);
+            replayPerTexel(reference, span);
             i += len == 0 ? 1 : len; // re-align after an empty span
             if (len == 0 && i <= refs.size()) {
-                // Deliver the skipped ref scalar-side on both sims so
+                // Deliver the skipped ref on both sims so
                 // the streams stay identical.
                 std::vector<TexelRef> one(refs.begin() +
                                               static_cast<long>(i - 1),
                                           refs.begin() +
                                               static_cast<long>(i));
                 batched.accessBatch(one);
-                replayScalar(scalar, one);
+                replayPerTexel(reference, one);
             }
         }
-        expectStatsEqual(batched.endFrame(), scalar.endFrame(),
+        expectStatsEqual(batched.endFrame(), reference.endFrame(),
                          "fuzz-seed-" + std::to_string(seed));
-        EXPECT_EQ(snapshotBytes(batched), snapshotBytes(scalar))
+        EXPECT_EQ(snapshotBytes(batched), snapshotBytes(reference))
             << "fuzz-seed-" << seed;
     }
 }
