@@ -20,7 +20,12 @@ namespace {
 
 using namespace mltc;
 
-/** Wraps a CacheSim and histograms every eviction's search length. */
+/**
+ * Wraps a CacheSim and histograms every eviction's search length. Each
+ * texel reaches the sim as a one-ref span, and each quad as its four
+ * texels in x0y0, x1y0, x0y1, x1y1 order, so evictions are checked
+ * after every texel.
+ */
 class PeskyProbe final : public TexelAccessSink
 {
   public:
@@ -32,26 +37,33 @@ class PeskyProbe final : public TexelAccessSink
     void bindTexture(TextureId tid) override { sim.bindTexture(tid); }
 
     void
-    access(uint32_t x, uint32_t y, uint32_t mip) override
+    accessBatch(std::span<const TexelRef> refs) override
     {
-        uint64_t before = sim.l2()->stats().evictions;
-        sim.access(x, y, mip);
-        if (sim.l2()->stats().evictions != before)
-            hist.add(sim.l2()->lastVictimSteps());
-    }
-
-    void
-    accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-               uint32_t mip) override
-    {
-        access(x0, y0, mip);
-        access(x1, y0, mip);
-        access(x0, y1, mip);
-        access(x1, y1, mip);
+        for (const TexelRef &r : refs) {
+            if (r.kind == TexelRef::kTexel) {
+                texel(r.x0, r.y0, r.mip);
+            } else if (r.kind == TexelRef::kQuad) {
+                texel(r.x0, r.y0, r.mip);
+                texel(r.x1, r.y0, r.mip);
+                texel(r.x0, r.y1, r.mip);
+                texel(r.x1, r.y1, r.mip);
+            }
+        }
     }
 
     CacheSim sim;
     Histogram hist;
+
+  private:
+    void
+    texel(uint32_t x, uint32_t y, uint32_t mip)
+    {
+        const uint64_t before = sim.l2()->stats().evictions;
+        const TexelRef r = TexelRef::texel(x, y, mip);
+        sim.accessBatch({&r, 1});
+        if (sim.l2()->stats().evictions != before)
+            hist.add(sim.l2()->lastVictimSteps());
+    }
 };
 
 } // namespace

@@ -140,40 +140,6 @@ CacheSim::bindTexture(TextureId tid)
 }
 
 void
-CacheSim::access(uint32_t x, uint32_t y, uint32_t mip)
-{
-    // The SelfTimer/profiler scopes live only on the observed branch:
-    // their destructors would otherwise force cleanup codegen onto the
-    // unobserved hot path (measured ~3 ns/access). Disabled-mode cost
-    // is two inline atomic loads + one branch, bounded by the <5%
-    // microbench gate (BM_CacheSimAccess).
-    if (globalTracer() != nullptr || stageProfiler() != nullptr)
-        [[unlikely]] {
-        SelfTimer timer(&access_ns_);
-        ScopedProfileStage prof("cachesim.access");
-        ++frame_.accesses;
-        handleTexel(x, y, mip);
-        return;
-    }
-    ++frame_.accesses;
-    handleTexel(x, y, mip);
-}
-
-void
-CacheSim::accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-                     uint32_t mip)
-{
-    if (globalTracer() != nullptr || stageProfiler() != nullptr)
-        [[unlikely]] {
-        SelfTimer timer(&access_ns_);
-        ScopedProfileStage prof("cachesim.access");
-        quadImpl(x0, y0, x1, y1, mip);
-        return;
-    }
-    quadImpl(x0, y0, x1, y1, mip);
-}
-
-void
 CacheSim::quadImpl(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
                    uint32_t mip)
 {
@@ -230,7 +196,7 @@ CacheSim::batchImpl(std::span<const TexelRef> refs)
     //      same dx/dy dedup quadImpl performs), drop the
     //      coalescing-filter non-survivors — a corner whose
     //      (tx, ty, mip) equals its predecessor's is a guaranteed hit
-    //      (the scalar one-entry filter: after any serviced texel
+    //      (handleTexel's one-entry filter: after any serviced texel
     //      last_tile_ is exactly its tile, so "equals predecessor" is
     //      the same predicate) — and compact the survivors into SoA
     //      arrays. Runs of plain texel refs go through the AVX-512
@@ -244,7 +210,7 @@ CacheSim::batchImpl(std::span<const TexelRef> refs)
     //      cache_sim.hpp);
     //   3. probe the L1 tag planes over the survivor run with
     //      lookupRun() — bookkeeping-identical to per-texel lookup()
-    //      calls — and drop each miss out to the scalar slow path
+    //      calls — and drop each miss out to the per-texel slow path
     //      handleMiss() before resuming the run behind it.
     constexpr size_t kChunk = 256;
     uint32_t sxs[kChunk], sys[kChunk];
@@ -340,8 +306,7 @@ CacheSim::batchImpl(std::span<const TexelRef> refs)
                 simd = stage_run_ != nullptr; // group boundary passed
             }
             // Pixel markers carry no texel work; without a profiler
-            // attached (checked above) they are no-ops here, exactly
-            // like scalar beginPixel().
+            // attached (checked above) they are no-ops.
         }
         frame_.accesses += acc;
         if (ns == 0)
@@ -370,7 +335,7 @@ CacheSim::batchImpl(std::span<const TexelRef> refs)
                 break;
             ++frame_.l1_misses;
             // Exception contract: should handleMiss throw, leave the
-            // filter where the scalar path would — on the previous
+            // filter where the per-texel loop would — on the previous
             // serviced texel's tile.
             last_tile_ = p ? tileAt(p - 1) : prev;
             handleMiss(sxs[p], sys[p], sms[p], skeys[p], tileAt(p));
@@ -623,13 +588,6 @@ CacheSim::degradeToResidentMip(uint32_t x, uint32_t y, uint32_t mip)
     // Hard failure: nothing coarser is resident either. The fetch was
     // already counted in host_failures; the gap host_failures -
     // degraded_accesses is the hard-failure count.
-}
-
-void
-CacheSim::beginPixel(uint32_t px, uint32_t py)
-{
-    if (profiler_) [[unlikely]]
-        profiler_->beginPixel(px, py);
 }
 
 CacheFrameStats

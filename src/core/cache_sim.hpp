@@ -199,20 +199,16 @@ class CacheSim final : public TexelAccessSink
     const CacheSimConfig &config() const { return cfg_; }
 
     void bindTexture(TextureId tid) override;
-    void access(uint32_t x, uint32_t y, uint32_t mip) override;
-    void accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-                    uint32_t mip) override;
-    void beginPixel(uint32_t px, uint32_t py) override;
 
     /**
-     * Batched access path (docs/batched_access.md): one observability
-     * hook crossing (tracer/self-timer/profiler-stage check) per span
-     * instead of per texel, SoA address translation over the span, and
-     * a branch-free L1 probe. Misses fall out to the same scalar slow
-     * path access() uses, so fault injection, MIP degradation, 3C
-     * classification and reuse profiling are untouched semantically;
-     * every counter, snapshot and CSV is bit-identical to replaying
-     * the span through the scalar entry points.
+     * The access path (docs/batched_access.md): one observability hook
+     * crossing (tracer/self-timer/profiler-stage check) per span, SoA
+     * address translation over the span, and a branch-free L1 probe.
+     * Misses fall out to the per-texel slow path handleMiss(), so fault
+     * injection, MIP degradation, 3C classification and reuse profiling
+     * are untouched semantically; every counter, snapshot and CSV is
+     * bit-identical to running the span through the per-texel loop
+     * perTexelImpl().
      */
     void accessBatch(std::span<const TexelRef> refs) override;
 
@@ -356,15 +352,15 @@ class CacheSim final : public TexelAccessSink
     friend class CacheAuditor;
     friend class AuditTestPeer;
     friend class BatchReferencePeer; ///< test-only: perTexelImpl()
-    /** Service one texel reference (shared by access/accessQuad). */
+    /** Service one texel reference of the per-texel loop. */
     void handleTexel(uint32_t x, uint32_t y, uint32_t mip);
 
     /**
      * Service an L1 miss already counted by the caller: pull download
      * or L2 lookup, fault handling, degradation, classification, L1
-     * fill. Shared verbatim by the scalar and batched paths (the
-     * batched fast loop only replaces the filter + L1 probe in front
-     * of it). Every exit leaves last_tile_ == @p tile.
+     * fill. Shared verbatim by the per-texel loop and the staged fast
+     * loop (which only replaces the filter + L1 probe in front of it).
+     * Every exit leaves last_tile_ == @p tile.
      */
     void handleMiss(uint32_t x, uint32_t y, uint32_t mip, uint64_t key,
                     uint64_t tile);
@@ -380,11 +376,13 @@ class CacheSim final : public TexelAccessSink
     /** Queue one L1 miss for drainSharedL2() (shared L2 only). */
     void queueSharedMiss(uint32_t t_index, uint32_t l1_sub, uint32_t mip);
 
-    /** accessQuad body, shared by the traced and untraced branches. */
+    /** One bilinear quad of the per-texel loop: each distinct tile
+     *  corner through handleTexel(). */
     void quadImpl(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
                   uint32_t mip);
 
-    /** accessBatch body, shared by the traced and untraced branches. */
+    /** accessBatch body, shared by the observed and unobserved
+     *  branches. */
     void batchImpl(std::span<const TexelRef> refs);
 
     /**

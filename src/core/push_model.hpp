@@ -38,12 +38,8 @@ class PushArchitectureModel final : public TexelAccessSink
             frame_bytes_ += textures_.texture(tid).hostBytes();
     }
 
-    void access(uint32_t, uint32_t, uint32_t) override {}
-
-    void accessQuad(uint32_t, uint32_t, uint32_t, uint32_t,
-                    uint32_t) override
-    {
-    }
+    /** Only binds matter to the push model. */
+    void accessBatch(std::span<const TexelRef>) override {}
 
     /**
      * Minimum local texture memory for the frame just rendered, then

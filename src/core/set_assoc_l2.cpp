@@ -49,27 +49,26 @@ SetAssocL2Sim::bindTexture(TextureId tid)
 }
 
 void
-SetAssocL2Sim::access(uint32_t x, uint32_t y, uint32_t mip)
+SetAssocL2Sim::accessBatch(std::span<const TexelRef> refs)
 {
-    ++frame_.accesses;
-    handleTexel(x, y, mip);
-}
-
-void
-SetAssocL2Sim::accessQuad(uint32_t x0, uint32_t y0, uint32_t x1,
-                          uint32_t y1, uint32_t mip)
-{
-    frame_.accesses += 4;
     const uint32_t sh = log2u(cfg_.l1.l1_tile);
-    const bool dx = (x0 >> sh) != (x1 >> sh);
-    const bool dy = (y0 >> sh) != (y1 >> sh);
-    handleTexel(x0, y0, mip);
-    if (dx)
-        handleTexel(x1, y0, mip);
-    if (dy) {
-        handleTexel(x0, y1, mip);
-        if (dx)
-            handleTexel(x1, y1, mip);
+    for (const TexelRef &r : refs) {
+        if (r.kind == TexelRef::kTexel) {
+            ++frame_.accesses;
+            handleTexel(r.x0, r.y0, r.mip);
+        } else if (r.kind == TexelRef::kQuad) {
+            frame_.accesses += 4;
+            const bool dx = (r.x0 >> sh) != (r.x1 >> sh);
+            const bool dy = (r.y0 >> sh) != (r.y1 >> sh);
+            handleTexel(r.x0, r.y0, r.mip);
+            if (dx)
+                handleTexel(r.x1, r.y0, r.mip);
+            if (dy) {
+                handleTexel(r.x0, r.y1, r.mip);
+                if (dx)
+                    handleTexel(r.x1, r.y1, r.mip);
+            }
+        }
     }
 }
 
@@ -77,7 +76,7 @@ void
 SetAssocL2Sim::handleTexel(uint32_t x, uint32_t y, uint32_t mip)
 {
     const uint64_t l1_key = l1_layout_->blockKeyOf(bound_, x, y, mip);
-    // One-entry coalescing filter (see CacheSim::access).
+    // One-entry coalescing filter (see CacheSim::handleTexel).
     if (l1_key == last_hit_key_)
         return;
     if (l1_.lookup(l1_key)) {

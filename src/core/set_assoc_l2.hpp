@@ -48,9 +48,7 @@ class SetAssocL2Sim final : public TexelAccessSink
     const std::string &label() const { return label_; }
 
     void bindTexture(TextureId tid) override;
-    void access(uint32_t x, uint32_t y, uint32_t mip) override;
-    void accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-                    uint32_t mip) override;
+    void accessBatch(std::span<const TexelRef> refs) override;
 
     /** Harvest per-frame deltas (same shape as CacheSim's). */
     CacheFrameStats endFrame();
@@ -58,7 +56,7 @@ class SetAssocL2Sim final : public TexelAccessSink
     const CacheFrameStats &totals() const { return totals_; }
 
   private:
-    /** Service one texel reference (shared by access/accessQuad). */
+    /** Service one texel reference (each distinct quad corner). */
     void handleTexel(uint32_t x, uint32_t y, uint32_t mip);
 
     struct Line

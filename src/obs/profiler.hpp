@@ -8,8 +8,8 @@
  *  1. A sampling stage profiler. Every worker thread maintains a
  *     lock-free annotated stage stack (pushed by ScopedProfileStage
  *     from the same hook sites the Chrome tracer instruments:
- *     rasterizer passes, the sampler, CacheSim::access, sweep legs and
- *     tenant streams). A per-process sampler thread wakes at
+ *     rasterizer passes, the sampler, CacheSim::accessBatch, sweep legs
+ *     and tenant streams). A per-process sampler thread wakes at
  *     --profile-hz (default 997, prime so it cannot phase-lock with
  *     frame loops) and snapshots every claimed stack into a per-thread
  *     ring buffer; rings fold into an aggregate stack->count map when

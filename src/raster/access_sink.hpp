@@ -21,15 +21,13 @@
 namespace mltc {
 
 /**
- * One element of the access stream: a lossless encoding of the scalar
- * sink events between two texture binds, and the only form in which
+ * One element of the access stream, and the only form in which
  * producers (sampler, trace replay, multi-stream replay) hand texels to
- * a sink. They buffer these a scanline (or a between-bind slice) at a
- * time and hand the span to accessBatch(), paying one virtual call and
- * one observability-hook crossing per batch instead of per texel. Pixel
- * markers are recorded verbatim — never deduplicated — so replaying a
- * batch element-by-element through the scalar entry points reproduces
- * the exact scalar event sequence.
+ * a sink: a texel, a bilinear quad or a pixel marker. Producers buffer
+ * these a scanline (or a between-bind slice) at a time and hand the
+ * span to accessBatch(), paying one virtual call and one
+ * observability-hook crossing per batch instead of per texel. Pixel
+ * markers are recorded verbatim, never deduplicated.
  */
 struct TexelRef
 {
@@ -78,73 +76,64 @@ batchedAccess()
     return true;
 }
 
-/** Receives the texel access stream from the rasterizer. */
+/**
+ * Receives the texel access stream. A consumer implements exactly two
+ * calls: bindTexture() and accessBatch(). The scalar calls access(),
+ * accessQuad() and beginPixel() each wrap one TexelRef into a
+ * one-element accessBatch(); they stay virtual because perfbench's
+ * TimingSink overrides them to count calls.
+ *
+ * An accessBatch() must not call the scalar wrappers on `this`: they
+ * call back into accessBatch() and recurse.
+ */
 class TexelAccessSink
 {
   public:
     virtual ~TexelAccessSink() = default;
 
     /**
-     * All subsequent access() calls refer to texture @p tid (the
+     * All subsequent accesses refer to texture @p tid (the
      * accelerator's "current texture" register, §5.2).
      */
     virtual void bindTexture(TextureId tid) = 0;
 
     /**
-     * Subsequent accesses shade screen pixel (px, py). Optional
-     * position metadata for spatial profilers (screen-space miss
-     * heatmaps); the default ignores it, and trace replay does not
-     * reproduce it.
+     * A buffered span of accesses between two texture binds (producers
+     * flush before every bindTexture call, so a batch never spans a
+     * bind).
      */
-    virtual void beginPixel(uint32_t px, uint32_t py)
+    virtual void accessBatch(std::span<const TexelRef> refs) = 0;
+
+    /**
+     * Subsequent accesses shade screen pixel (px, py): position
+     * metadata for spatial profilers (screen-space miss heatmaps).
+     * Span traces store it, so replay reproduces it.
+     */
+    virtual void
+    beginPixel(uint32_t px, uint32_t py)
     {
-        (void)px;
-        (void)py;
+        const TexelRef r = TexelRef::pixel(px, py);
+        accessBatch({&r, 1});
     }
 
     /** One texel reference at (x, y) of MIP level @p mip. */
-    virtual void access(uint32_t x, uint32_t y, uint32_t mip) = 0;
+    virtual void
+    access(uint32_t x, uint32_t y, uint32_t mip)
+    {
+        const TexelRef r = TexelRef::texel(x, y, mip);
+        accessBatch({&r, 1});
+    }
 
     /**
      * A bilinear footprint: the four texels (x0|x1, y0|y1) of level
-     * @p mip, where x1/y1 are the (wrapped) neighbours of x0/y0. The
-     * default expands to four access() calls; cache simulators override
-     * it to coalesce the footprint (it usually lands in one tile).
+     * @p mip, where x1/y1 are the (wrapped) neighbours of x0/y0.
      */
     virtual void
     accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
                uint32_t mip)
     {
-        access(x0, y0, mip);
-        access(x1, y0, mip);
-        access(x0, y1, mip);
-        access(x1, y1, mip);
-    }
-
-    /**
-     * A buffered span of accesses between two texture binds (producers
-     * flush before every bindTexture call, so a batch never spans a
-     * bind). The default replays the span through the scalar entry
-     * points in order, which makes every sink batch-correct by
-     * construction; CacheSim overrides this with a vectorized fast
-     * path that is bit-identical to the replay.
-     */
-    virtual void
-    accessBatch(std::span<const TexelRef> refs)
-    {
-        for (const TexelRef &r : refs) {
-            switch (r.kind) {
-              case TexelRef::kTexel:
-                access(r.x0, r.y0, r.mip);
-                break;
-              case TexelRef::kQuad:
-                accessQuad(r.x0, r.y0, r.x1, r.y1, r.mip);
-                break;
-              default:
-                beginPixel(r.x0, r.y0);
-                break;
-            }
-        }
+        const TexelRef r = TexelRef::quad(x0, y0, x1, y1, mip);
+        accessBatch({&r, 1});
     }
 };
 
@@ -153,11 +142,6 @@ class NullSink final : public TexelAccessSink
 {
   public:
     void bindTexture(TextureId) override {}
-    void access(uint32_t, uint32_t, uint32_t) override {}
-    void accessQuad(uint32_t, uint32_t, uint32_t, uint32_t,
-                    uint32_t) override
-    {
-    }
     void accessBatch(std::span<const TexelRef>) override {}
 };
 
@@ -166,18 +150,6 @@ class CountingSink final : public TexelAccessSink
 {
   public:
     void bindTexture(TextureId tid) override { last_tid = tid; }
-
-    void
-    access(uint32_t, uint32_t, uint32_t) override
-    {
-        ++count;
-    }
-
-    void
-    accessQuad(uint32_t, uint32_t, uint32_t, uint32_t, uint32_t) override
-    {
-        count += 4;
-    }
 
     void
     accessBatch(std::span<const TexelRef> refs) override
@@ -208,28 +180,6 @@ class FanoutSink final : public TexelAccessSink
     {
         for (auto *s : sinks_)
             s->bindTexture(tid);
-    }
-
-    void
-    beginPixel(uint32_t px, uint32_t py) override
-    {
-        for (auto *s : sinks_)
-            s->beginPixel(px, py);
-    }
-
-    void
-    access(uint32_t x, uint32_t y, uint32_t mip) override
-    {
-        for (auto *s : sinks_)
-            s->access(x, y, mip);
-    }
-
-    void
-    accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-               uint32_t mip) override
-    {
-        for (auto *s : sinks_)
-            s->accessQuad(x0, y0, x1, y1, mip);
     }
 
     void

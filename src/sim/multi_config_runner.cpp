@@ -470,25 +470,6 @@ class GuardedSink final : public TexelAccessSink
     }
 
     void
-    beginPixel(uint32_t px, uint32_t py) override
-    {
-        guard([&] { inner_.beginPixel(px, py); });
-    }
-
-    void
-    access(uint32_t x, uint32_t y, uint32_t mip) override
-    {
-        guard([&] { inner_.access(x, y, mip); });
-    }
-
-    void
-    accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-               uint32_t mip) override
-    {
-        guard([&] { inner_.accessQuad(x0, y0, x1, y1, mip); });
-    }
-
-    void
     accessBatch(std::span<const TexelRef> refs) override
     {
         guard([&] { inner_.accessBatch(refs); });

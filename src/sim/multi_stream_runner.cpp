@@ -88,21 +88,6 @@ class LodBiasSink final : public TexelAccessSink
     }
 
     void
-    access(uint32_t x, uint32_t y, uint32_t mip) override
-    {
-        const TexelRef r = TexelRef::texel(x, y, mip);
-        accessBatch({&r, 1});
-    }
-
-    void
-    accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-               uint32_t mip) override
-    {
-        const TexelRef r = TexelRef::quad(x0, y0, x1, y1, mip);
-        accessBatch({&r, 1});
-    }
-
-    void
     accessBatch(std::span<const TexelRef> refs) override
     {
         while (!refs.empty()) {

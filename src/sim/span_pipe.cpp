@@ -40,39 +40,12 @@ SpanPipe::bindTexture(TextureId tid)
 }
 
 void
-SpanPipe::beginPixel(uint32_t px, uint32_t py)
-{
-    push({Event::kPixel, 0}, TexelRef::pixel(px, py));
-}
-
-void
-SpanPipe::access(uint32_t x, uint32_t y, uint32_t mip)
-{
-    push({Event::kTexel, 0}, TexelRef::texel(x, y, mip));
-}
-
-void
-SpanPipe::accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-                     uint32_t mip)
-{
-    push({Event::kQuad, 0}, TexelRef::quad(x0, y0, x1, y1, mip));
-}
-
-void
 SpanPipe::accessBatch(std::span<const TexelRef> refs)
 {
     reserve(refs.size());
     cur_->refs.insert(cur_->refs.end(), refs.begin(), refs.end());
     cur_->events.push_back(
         {Event::kBatch, static_cast<uint32_t>(refs.size())});
-}
-
-void
-SpanPipe::push(const Event &e, const TexelRef &r)
-{
-    reserve(1);
-    cur_->refs.push_back(r);
-    cur_->events.push_back(e);
 }
 
 void
@@ -182,26 +155,11 @@ SpanPipe::replay(TexelAccessSink &to, const Block &b)
 {
     const TexelRef *r = b.refs.data();
     for (const Event &e : b.events) {
-        switch (e.kind) {
-          case Event::kBind:
+        if (e.kind == Event::kBind) {
             to.bindTexture(e.arg);
-            break;
-          case Event::kBatch:
+        } else {
             to.accessBatch({r, e.arg});
             r += e.arg;
-            break;
-          case Event::kTexel:
-            to.access(r->x0, r->y0, r->mip);
-            ++r;
-            break;
-          case Event::kQuad:
-            to.accessQuad(r->x0, r->y0, r->x1, r->y1, r->mip);
-            ++r;
-            break;
-          case Event::kPixel:
-            to.beginPixel(r->x0, r->y0);
-            ++r;
-            break;
         }
     }
 }

@@ -6,9 +6,8 @@
  *
  * The pipe is a TexelAccessSink. Every call it receives is copied into
  * a small ring of fixed-capacity blocks; a block holds the refs plus an
- * event list (bind, batch of n refs, or one scalar call), so the real
- * sink later sees exactly the calls the producer made, with the same
- * batch boundaries.
+ * event list (bind, or batch of n refs), so the real sink later sees
+ * exactly the calls the producer made, with the same batch boundaries.
  *
  * Consumption:
  *  - a filled block schedules a drain task on the pool unless one is
@@ -73,10 +72,6 @@ class SpanPipe final : public TexelAccessSink
     SpanPipe &operator=(const SpanPipe &) = delete;
 
     void bindTexture(TextureId tid) override;
-    void beginPixel(uint32_t px, uint32_t py) override;
-    void access(uint32_t x, uint32_t y, uint32_t mip) override;
-    void accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-                    uint32_t mip) override;
     void accessBatch(std::span<const TexelRef> refs) override;
 
     /**
@@ -96,9 +91,6 @@ class SpanPipe final : public TexelAccessSink
         {
             kBind,  ///< bindTexture(arg)
             kBatch, ///< accessBatch of the next arg refs
-            kTexel, ///< access() of the next ref
-            kQuad,  ///< accessQuad() of the next ref
-            kPixel, ///< beginPixel() of the next ref
         };
         Kind kind;
         uint32_t arg;
@@ -111,7 +103,6 @@ class SpanPipe final : public TexelAccessSink
 
     /** Make room for @p refs refs and one event in the current block. */
     void reserve(size_t refs);
-    void push(const Event &e, const TexelRef &r);
     /** Hand the current block to the consumer; wait for a free slot. */
     void handOff();
     /** Run a drain task on the pool, or inline without one. */

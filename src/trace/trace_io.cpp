@@ -277,15 +277,6 @@ TraceWriter::put(const void *data, size_t size)
 }
 
 void
-TraceWriter::push(const TexelRef &r)
-{
-    span_.push_back(r);
-    frame_open_ = true;
-    if (span_.size() == kSpanCap)
-        flushSpan();
-}
-
-void
 TraceWriter::flushSpan()
 {
     if (span_.empty())
@@ -316,33 +307,15 @@ TraceWriter::bindTexture(TextureId tid)
 }
 
 void
-TraceWriter::beginPixel(uint32_t px, uint32_t py)
-{
-    requireOpen();
-    push(TexelRef::pixel(px, py));
-}
-
-void
-TraceWriter::access(uint32_t x, uint32_t y, uint32_t mip)
-{
-    requireOpen();
-    push(TexelRef::texel(x, y, mip));
-}
-
-void
-TraceWriter::accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-                        uint32_t mip)
-{
-    requireOpen();
-    push(TexelRef::quad(x0, y0, x1, y1, mip));
-}
-
-void
 TraceWriter::accessBatch(std::span<const TexelRef> refs)
 {
     requireOpen();
-    for (const TexelRef &r : refs)
-        push(r);
+    for (const TexelRef &r : refs) {
+        span_.push_back(r);
+        frame_open_ = true;
+        if (span_.size() == kSpanCap)
+            flushSpan();
+    }
 }
 
 void

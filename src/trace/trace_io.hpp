@@ -39,8 +39,8 @@ struct FileCloser
  * Sink that serialises the access stream to a file.
  *
  * Refs are buffered between binds and written as one span record per
- * at most 4096 refs; every entry point of the sink interface is
- * recorded verbatim. Every write is checked: a full disk or a vanished
+ * at most 4096 refs; every ref, pixel markers included, is recorded
+ * verbatim. Every write is checked: a full disk or a vanished
  * file throws a typed mltc::Exception (ErrorCode::Io) rather than
  * silently producing a truncated trace, and so does any entry point
  * called after close(). Call close() to finish the file — it writes the
@@ -58,10 +58,6 @@ class TraceWriter final : public TexelAccessSink
     TraceWriter &operator=(const TraceWriter &) = delete;
 
     void bindTexture(TextureId tid) override;
-    void beginPixel(uint32_t px, uint32_t py) override;
-    void access(uint32_t x, uint32_t y, uint32_t mip) override;
-    void accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-                    uint32_t mip) override;
     void accessBatch(std::span<const TexelRef> refs) override;
 
     /** Mark a frame boundary. */
@@ -75,7 +71,6 @@ class TraceWriter final : public TexelAccessSink
     void close();
 
   private:
-    void push(const TexelRef &r);
     /** Write the buffered span (if any) as one record. */
     void flushSpan();
     void put(const void *data, size_t size);

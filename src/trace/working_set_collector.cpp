@@ -54,28 +54,28 @@ WorkingSetCollector::bindTexture(TextureId tid)
 }
 
 void
-WorkingSetCollector::access(uint32_t x, uint32_t y, uint32_t mip)
+WorkingSetCollector::accessBatch(std::span<const TexelRef> refs)
 {
-    ++pixel_refs_;
-    recordTexel(x, y, mip);
-}
-
-void
-WorkingSetCollector::accessQuad(uint32_t x0, uint32_t y0, uint32_t x1,
-                                uint32_t y1, uint32_t mip)
-{
-    pixel_refs_ += 4;
-    // Every tracked tile size is >= 4 texels, so corners sharing a 4x4
-    // cell share every tracked block; record the distinct corners only.
-    const bool dx = (x0 >> 2) != (x1 >> 2);
-    const bool dy = (y0 >> 2) != (y1 >> 2);
-    recordTexel(x0, y0, mip);
-    if (dx)
-        recordTexel(x1, y0, mip);
-    if (dy) {
-        recordTexel(x0, y1, mip);
-        if (dx)
-            recordTexel(x1, y1, mip);
+    for (const TexelRef &r : refs) {
+        if (r.kind == TexelRef::kTexel) {
+            ++pixel_refs_;
+            recordTexel(r.x0, r.y0, r.mip);
+        } else if (r.kind == TexelRef::kQuad) {
+            pixel_refs_ += 4;
+            // Every tracked tile size is >= 4 texels, so corners sharing
+            // a 4x4 cell share every tracked block; record the distinct
+            // corners only.
+            const bool dx = (r.x0 >> 2) != (r.x1 >> 2);
+            const bool dy = (r.y0 >> 2) != (r.y1 >> 2);
+            recordTexel(r.x0, r.y0, r.mip);
+            if (dx)
+                recordTexel(r.x1, r.y0, r.mip);
+            if (dy) {
+                recordTexel(r.x0, r.y1, r.mip);
+                if (dx)
+                    recordTexel(r.x1, r.y1, r.mip);
+            }
+        }
     }
 }
 

@@ -113,9 +113,7 @@ class WorkingSetCollector final : public TexelAccessSink
                         std::vector<uint32_t> l1_tiles);
 
     void bindTexture(TextureId tid) override;
-    void access(uint32_t x, uint32_t y, uint32_t mip) override;
-    void accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-                    uint32_t mip) override;
+    void accessBatch(std::span<const TexelRef> refs) override;
 
     /** Harvest this frame's statistics and start the next frame. */
     FrameWorkingSet endFrame();

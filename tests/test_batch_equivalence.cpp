@@ -19,7 +19,10 @@
 #include <vector>
 
 #include "core/cache_sim.hpp"
+#include "core/push_model.hpp"
+#include "core/set_assoc_l2.hpp"
 #include "raster/rasterizer.hpp"
+#include "trace/working_set_collector.hpp"
 #include "util/rng.hpp"
 #include "util/serializer.hpp"
 #include "workload/city.hpp"
@@ -56,13 +59,6 @@ class PerTexelSink final : public TexelAccessSink
     accessBatch(std::span<const TexelRef> refs) override
     {
         BatchReferencePeer::perTexel(sim_, refs);
-    }
-
-    void
-    access(uint32_t x, uint32_t y, uint32_t mip) override
-    {
-        const TexelRef r = TexelRef::texel(x, y, mip);
-        accessBatch({&r, 1});
     }
 
   private:
@@ -489,6 +485,170 @@ TEST(BatchSinkDefaults, CountingSinkCountsBatchedRefs)
     refs.push_back(TexelRef::pixel(9, 9));
     sink.accessBatch(refs);
     EXPECT_EQ(sink.count, 5u); // 1 texel + 4 quad corners, pixel ignored
+}
+
+/** Implements only the two pure virtuals and records every span. */
+class TwoMethodSink final : public TexelAccessSink
+{
+  public:
+    void bindTexture(TextureId tid) override { binds.push_back(tid); }
+
+    void
+    accessBatch(std::span<const TexelRef> refs) override
+    {
+        spans.emplace_back(refs.begin(), refs.end());
+    }
+
+    std::vector<TextureId> binds;
+    std::vector<std::vector<TexelRef>> spans;
+};
+
+void
+expectSameRef(const TexelRef &a, const TexelRef &b)
+{
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.x0, b.x0);
+    EXPECT_EQ(a.y0, b.y0);
+    EXPECT_EQ(a.x1, b.x1);
+    EXPECT_EQ(a.y1, b.y1);
+    EXPECT_EQ(a.mip, b.mip);
+}
+
+TEST(BatchSinkDefaults, ScalarCallsArriveAsOneElementSpans)
+{
+    TwoMethodSink sink;
+    TexelAccessSink &base = sink;
+    base.bindTexture(7);
+    base.access(3, 4, 5);
+    base.accessQuad(10, 11, 12, 13, 2);
+    base.beginPixel(640, 480);
+    EXPECT_EQ(sink.binds, std::vector<TextureId>{7});
+    const TexelRef want[] = {TexelRef::texel(3, 4, 5),
+                             TexelRef::quad(10, 11, 12, 13, 2),
+                             TexelRef::pixel(640, 480)};
+    ASSERT_EQ(sink.spans.size(), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+        ASSERT_EQ(sink.spans[i].size(), 1u) << "call " << i;
+        expectSameRef(sink.spans[i][0], want[i]);
+    }
+}
+
+/**
+ * Forwards each span to @p next one ref at a time, through the scalar
+ * wrappers: the consumer sees one one-ref span per ref.
+ */
+class OneRefSink final : public TexelAccessSink
+{
+  public:
+    explicit OneRefSink(TexelAccessSink &next) : next_(next) {}
+
+    void bindTexture(TextureId tid) override { next_.bindTexture(tid); }
+
+    void
+    accessBatch(std::span<const TexelRef> refs) override
+    {
+        for (const TexelRef &r : refs) {
+            if (r.kind == TexelRef::kTexel)
+                next_.access(r.x0, r.y0, r.mip);
+            else if (r.kind == TexelRef::kQuad)
+                next_.accessQuad(r.x0, r.y0, r.x1, r.y1, r.mip);
+            else
+                next_.beginPixel(r.x0, r.y0);
+        }
+    }
+
+  private:
+    TexelAccessSink &next_;
+};
+
+/**
+ * Render @p frames trilinear tiny-Village frames once, fanned out to
+ * @p spans (the producer's spans) and, one ref at a time, to
+ * @p one_ref; @p end_frame harvests both after every frame.
+ */
+template <typename EndFrame>
+void
+renderBoth(Workload &wl, TexelAccessSink &spans, TexelAccessSink &one_ref,
+           int frames, EndFrame end_frame)
+{
+    OneRefSink split(one_ref);
+    FanoutSink fan;
+    fan.add(&spans);
+    fan.add(&split);
+    Rasterizer raster(96, 64);
+    raster.setFilter(FilterMode::Trilinear);
+    raster.setSink(&fan);
+    for (int f = 0; f < frames; ++f) {
+        Camera cam = wl.cameraAtFrame(f, wl.default_frames, 96.0f / 64.0f);
+        raster.renderFrame(wl.scene, cam, *wl.textures);
+        end_frame(f);
+    }
+}
+
+template <typename T>
+std::vector<uint8_t>
+savedBytes(const T &sink)
+{
+    SnapshotWriter w("unused-never-finished");
+    sink.save(w);
+    return w.payload();
+}
+
+TEST(BatchSinkDefaults, SetAssocL2SimSameForSpansAndOneRefSpans)
+{
+    Workload wl = tinyVillage();
+    SetAssocL2Config cfg;
+    cfg.l1.size_bytes = 2 << 10;
+    cfg.l2_size_bytes = 64 << 10;
+    SetAssocL2Sim spans(*wl.textures, cfg), one_ref(*wl.textures, cfg);
+    renderBoth(wl, spans, one_ref, 3, [&](int f) {
+        const CacheFrameStats a = spans.endFrame();
+        EXPECT_GT(a.accesses, 0u);
+        expectStatsEqual(a, one_ref.endFrame(),
+                         "set-assoc frame " + std::to_string(f));
+    });
+    expectStatsEqual(spans.totals(), one_ref.totals(), "set-assoc totals");
+}
+
+TEST(BatchSinkDefaults, WorkingSetCollectorSameForSpansAndOneRefSpans)
+{
+    Workload wl = tinyVillage();
+    WorkingSetCollector spans(*wl.textures, {8, 16, 32}, {4, 8});
+    WorkingSetCollector one_ref(*wl.textures, {8, 16, 32}, {4, 8});
+    renderBoth(wl, spans, one_ref, 3, [&](int f) {
+        const FrameWorkingSet a = spans.endFrame();
+        const FrameWorkingSet b = one_ref.endFrame();
+        const std::string ctx = "working-set frame " + std::to_string(f);
+        EXPECT_GT(a.pixel_refs, 0u) << ctx;
+        EXPECT_EQ(a.pixel_refs, b.pixel_refs) << ctx;
+        EXPECT_EQ(a.textures_touched, b.textures_touched) << ctx;
+        EXPECT_EQ(a.push_bytes, b.push_bytes) << ctx;
+        EXPECT_EQ(a.loaded_bytes, b.loaded_bytes) << ctx;
+        ASSERT_EQ(a.l2.size(), b.l2.size()) << ctx;
+        for (size_t i = 0; i < a.l2.size(); ++i) {
+            EXPECT_EQ(a.l2[i].blocks_touched, b.l2[i].blocks_touched) << ctx;
+            EXPECT_EQ(a.l2[i].blocks_new, b.l2[i].blocks_new) << ctx;
+        }
+        ASSERT_EQ(a.l1.size(), b.l1.size()) << ctx;
+        for (size_t i = 0; i < a.l1.size(); ++i) {
+            EXPECT_EQ(a.l1[i].tiles_touched, b.l1[i].tiles_touched) << ctx;
+            EXPECT_EQ(a.l1[i].tiles_new, b.l1[i].tiles_new) << ctx;
+        }
+        EXPECT_EQ(savedBytes(spans), savedBytes(one_ref)) << ctx;
+    });
+}
+
+TEST(BatchSinkDefaults, PushModelSameForSpansAndOneRefSpans)
+{
+    Workload wl = tinyVillage();
+    PushArchitectureModel spans(*wl.textures), one_ref(*wl.textures);
+    renderBoth(wl, spans, one_ref, 3, [&](int f) {
+        // Snapshot mid-frame, while the touched set is populated.
+        EXPECT_EQ(savedBytes(spans), savedBytes(one_ref)) << "frame " << f;
+        const uint64_t a = spans.endFrame();
+        EXPECT_GT(a, 0u);
+        EXPECT_EQ(a, one_ref.endFrame()) << "frame " << f;
+    });
 }
 
 } // namespace

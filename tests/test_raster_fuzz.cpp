@@ -25,8 +25,27 @@ class BoundsCheckSink final : public TexelAccessSink
 
     void bindTexture(TextureId tid) override { tid_ = tid; }
 
+    /** Checks every texel and every quad corner; skips markers. */
     void
-    access(uint32_t x, uint32_t y, uint32_t mip) override
+    accessBatch(std::span<const TexelRef> refs) override
+    {
+        for (const TexelRef &r : refs) {
+            if (r.kind == TexelRef::kTexel) {
+                check(r.x0, r.y0, r.mip);
+            } else if (r.kind == TexelRef::kQuad) {
+                check(r.x0, r.y0, r.mip);
+                check(r.x1, r.y0, r.mip);
+                check(r.x0, r.y1, r.mip);
+                check(r.x1, r.y1, r.mip);
+            }
+        }
+    }
+
+    uint64_t count = 0;
+
+  private:
+    void
+    check(uint32_t x, uint32_t y, uint32_t mip)
     {
         const MipPyramid &pyr = tm_.texture(tid_).pyramid;
         ASSERT_LT(mip, pyr.levels());
@@ -35,9 +54,6 @@ class BoundsCheckSink final : public TexelAccessSink
         ++count;
     }
 
-    uint64_t count = 0;
-
-  private:
     const TextureManager &tm_;
     TextureId tid_ = 0;
 };

@@ -22,12 +22,18 @@ class HistogramSink final : public TexelAccessSink
   public:
     void bindTexture(TextureId) override {}
 
+    /** A texel counts one, a quad four; pixel markers count none. */
     void
-    access(uint32_t, uint32_t, uint32_t mip) override
+    accessBatch(std::span<const TexelRef> refs) override
     {
-        ++total;
-        if (mip < 16)
-            ++by_mip[mip];
+        for (const TexelRef &r : refs) {
+            const uint64_t n = r.kind == TexelRef::kTexel  ? 1
+                               : r.kind == TexelRef::kQuad ? 4
+                                                           : 0;
+            total += n;
+            if (r.mip < 16)
+                by_mip[r.mip] += n;
+        }
     }
 
     uint64_t total = 0;

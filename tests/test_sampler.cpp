@@ -19,10 +19,20 @@ class RecordingSink final : public TexelAccessSink
   public:
     void bindTexture(TextureId tid) override { this->tid = tid; }
 
+    /** A quad records its four texels; pixel markers are skipped. */
     void
-    access(uint32_t x, uint32_t y, uint32_t mip) override
+    accessBatch(std::span<const TexelRef> refs) override
     {
-        records.push_back({x, y, mip});
+        for (const TexelRef &r : refs) {
+            if (r.kind == TexelRef::kTexel) {
+                records.push_back({r.x0, r.y0, r.mip});
+            } else if (r.kind == TexelRef::kQuad) {
+                records.push_back({r.x0, r.y0, r.mip});
+                records.push_back({r.x1, r.y0, r.mip});
+                records.push_back({r.x0, r.y1, r.mip});
+                records.push_back({r.x1, r.y1, r.mip});
+            }
+        }
     }
 
     struct Rec

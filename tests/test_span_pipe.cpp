@@ -27,8 +27,9 @@ namespace mltc {
 namespace {
 
 /**
- * Records every call as text; optionally throws once, on call number
- * k, and records any later call it still receives.
+ * Records every call as text (a scalar call arrives as a one-ref
+ * batch); optionally throws once, on call number k, and records any
+ * later call it still receives.
  */
 class RecordingSink final : public TexelAccessSink
 {
@@ -38,22 +39,6 @@ class RecordingSink final : public TexelAccessSink
     void bindTexture(TextureId tid) override
     {
         note("bind " + std::to_string(tid));
-    }
-
-    void beginPixel(uint32_t px, uint32_t py) override
-    {
-        note("pixel " + std::to_string(px) + "," + std::to_string(py));
-    }
-
-    void access(uint32_t x, uint32_t y, uint32_t mip) override
-    {
-        note("texel " + ref(TexelRef::texel(x, y, mip)));
-    }
-
-    void accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-                    uint32_t mip) override
-    {
-        note("quad " + ref(TexelRef::quad(x0, y0, x1, y1, mip)));
     }
 
     void accessBatch(std::span<const TexelRef> refs) override
@@ -320,7 +305,7 @@ TEST(SpanPipe, RethrowsTheSinksOwnExceptionType)
         {
             throw std::out_of_range("bad tid");
         }
-        void access(uint32_t, uint32_t, uint32_t) override {}
+        void accessBatch(std::span<const TexelRef>) override {}
     };
     for (const auto &pool : pools()) {
         Throws sink;

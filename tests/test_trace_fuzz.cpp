@@ -26,7 +26,16 @@ class CountingSink final : public TexelAccessSink
 {
   public:
     void bindTexture(TextureId) override { ++events; }
-    void access(uint32_t, uint32_t, uint32_t) override { ++events; }
+    /** A texel counts one, a quad four; pixel markers count none. */
+    void
+    accessBatch(std::span<const TexelRef> refs) override
+    {
+        for (const TexelRef &r : refs)
+            events += r.kind == TexelRef::kTexel  ? 1
+                      : r.kind == TexelRef::kQuad ? 4
+                                                  : 0;
+    }
+
     uint64_t events = 0;
 };
 

@@ -25,7 +25,7 @@
 namespace mltc {
 namespace {
 
-/** Sink recording every scalar event for comparison. */
+/** Sink recording every ref of every span for comparison. */
 class RecordingSink final : public TexelAccessSink
 {
   public:
@@ -38,22 +38,16 @@ class RecordingSink final : public TexelAccessSink
     }
 
     void
-    beginPixel(uint32_t px, uint32_t py) override
+    accessBatch(std::span<const TexelRef> refs) override
     {
-        events.push_back({kPixel, px, py});
-    }
-
-    void
-    access(uint32_t x, uint32_t y, uint32_t mip) override
-    {
-        events.push_back({kAccess, x, y, mip});
-    }
-
-    void
-    accessQuad(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-               uint32_t mip) override
-    {
-        events.push_back({kQuad, x0, y0, mip, x1, y1});
+        for (const TexelRef &r : refs) {
+            if (r.kind == TexelRef::kTexel)
+                events.push_back({kAccess, r.x0, r.y0, r.mip});
+            else if (r.kind == TexelRef::kQuad)
+                events.push_back({kQuad, r.x0, r.y0, r.mip, r.x1, r.y1});
+            else
+                events.push_back({kPixel, r.x0, r.y0});
+        }
     }
 
     struct Ev
