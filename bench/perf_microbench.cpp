@@ -84,6 +84,11 @@ BM_AddressTranslation(benchmark::State &state)
 }
 BENCHMARK(BM_AddressTranslation);
 
+/**
+ * One access() call per texel, each a one-ref span into
+ * CacheSim::accessBatch(): the rows on this helper (and the other
+ * access() rows below) price per-call delivery of the stream.
+ */
 void
 runCacheSimAccess(benchmark::State &state, const CacheSimConfig &cfg)
 {
@@ -108,19 +113,20 @@ BM_CacheSimAccess(benchmark::State &state)
 BENCHMARK(BM_CacheSimAccess);
 
 /**
- * The batched-vs-scalar gate pattern (docs/batched_access.md): a
+ * The span-vs-per-call gate pattern (docs/batched_access.md): a
  * serpentine walk over a 64x32-texel window. That window is the
  * conflict-free working set of the 16KB L1 under Morton set indexing,
  * so after warm-up every access hits and the rows isolate the
  * *front-end* cost per texel — virtual dispatch, observability-hook
  * check, coalescing filter, address translation, tag probe — which is
- * exactly the cost the batched path amortises and vectorises. The miss
+ * exactly the cost span delivery amortises and vectorises. The miss
  * path (L2, TLB, host fetch) is shared verbatim by both modes and is
  * priced separately by BM_CacheSimAccess's 25%-miss sweep, so an
  * all-hit pattern here is the honest denominator: miss-heavy patterns
  * would just dilute both rows with identical slow-path time.
  *
- * Scalar calls go through the TexelAccessSink interface pointer, as
+ * Per-call delivery (one access() call, i.e. one one-ref span, per
+ * texel) goes through the TexelAccessSink interface pointer, as
  * every deployment call site does (rasterizer, trace replay,
  * multi-stream replay all hold sink pointers); laundering the pointer
  * through DoNotOptimize stops the compiler devirtualising a call that
@@ -155,7 +161,7 @@ BM_CacheSimAccessScan(benchmark::State &state)
 }
 BENCHMARK(BM_CacheSimAccessScan);
 
-/** Scalar scan with the 3C shadow models on (batch-gate denominator). */
+/** Per-call scan with the 3C shadow models on (batch-gate denominator). */
 void
 BM_CacheSimAccessScanClassified(benchmark::State &state)
 {
@@ -169,8 +175,8 @@ BENCHMARK(BM_CacheSimAccessScanClassified);
  * The batched access path: the same serpentine scan delivered as
  * 256-texel spans (four scanlines — a trace-replay chunk) through the
  * same laundered sink pointer. The spans are prebuilt: this row prices
- * the accessBatch() entry point itself, the per-texel analogue of
- * BM_CacheSimAccessScan's access() calls — producers own the buffer
+ * 256-ref spans through accessBatch(), against
+ * BM_CacheSimAccessScan's one-ref spans — producers own the buffer
  * fill and BM_CacheSimAccessBatchProduce prices that end-to-end.
  * ns/op is per texel access (items-normalised), so this row divides
  * directly against BM_CacheSimAccessScan; the perf gate enforces the
@@ -244,8 +250,8 @@ BENCHMARK(BM_CacheSimAccessBatchProduce);
 
 /**
  * Batched path with 3C classification on: the hit-observing shadow
- * models force the faithful per-texel replay branch, so only the
- * per-batch hook amortisation remains — the gate bounds it as
+ * models force the per-texel loop, so only the per-batch hook
+ * amortisation remains — the gate bounds it as
  * no-slower-than BM_CacheSimAccessScanClassified rather than 2x.
  */
 void

@@ -28,18 +28,18 @@ Two machine-independent gates run inside the candidate file alone:
   within --profile-threshold (default 60%) of BM_CacheSimAccess. The
   disabled-mode hook cost is covered by the plain BM_CacheSimAccess row
   under the normalized baseline gate above.
-* BM_CacheSimAccessBatch (the batched access path, ns per texel) must
-  be at least --batch-speedup (default 2.0) times faster than
-  BM_CacheSimAccessScan — the scalar row driving the same serpentine
-  all-hit pattern through the sink interface — in the same run: the
-  speedup the batched path exists to deliver (docs/batched_access.md).
+* BM_CacheSimAccessBatch (256-ref spans, ns per texel) must be at
+  least --batch-speedup (default 2.0) times faster than
+  BM_CacheSimAccessScan — the per-call row driving the same serpentine
+  all-hit pattern through the sink interface, one access() call (a
+  one-ref span) per texel — in the same run: the speedup span delivery
+  exists to deliver (docs/batched_access.md).
 * BM_CacheSimAccessBatchProduce (batched path paying for its own span
   construction) must beat BM_CacheSimAccessScan by --batch-produce-
   speedup (default 1.5): batching wins end to end, not just at the
   consumer.
-* BM_CacheSimAccessBatchClassified (batched path forced onto the
-  faithful per-texel replay branch by the hit-observing 3C shadow
-  models) must be no slower than --batch-classified-speedup (default
+* BM_CacheSimAccessBatchClassified (spans forced onto the per-texel
+  loop by the hit-observing 3C shadow models) must be no slower than --batch-classified-speedup (default
   0.95) times BM_CacheSimAccessScanClassified — batching must never
   cost observed runs anything.
 

@@ -168,6 +168,8 @@ CacheSim::accessBatch(std::span<const TexelRef> refs)
     // the self-timer and the profile stage cover the whole span (the
     // flight recorder and metrics planes read the per-frame counters
     // this path increments, so they too see one update per batch).
+    // The scopes live only on the observed branch: their destructors
+    // would otherwise force cleanup codegen onto the unobserved path.
     if (globalTracer() != nullptr || stageProfiler() != nullptr)
         [[unlikely]] {
         SelfTimer timer(&access_ns_);
