@@ -302,7 +302,7 @@ chaosStreams(uint64_t seed, unsigned streams, int rounds,
         FlightRecorder::Config fc;
         fc.prefix = flight_out;
         flight = std::make_unique<FlightRecorder>(fc);
-        installFlightRecorder(flight.get());
+        hooks().install(flight.get());
     }
     installProcessIoFaults(storm);
     ResilienceConfig base;
@@ -314,8 +314,7 @@ chaosStreams(uint64_t seed, unsigned streams, int rounds,
             return runStreams(ms, chaos_prefix, rc);
         },
         base);
-    if (flight)
-        installFlightRecorder(nullptr);
+    hooks().uninstall(flight.get());
     if (!done) {
         std::fprintf(stderr, "chaos: storm run never completed\n");
         return 1;

@@ -312,12 +312,13 @@ BENCHMARK(BM_CacheSimAccessTelemetry);
 /**
  * BM_CacheSimAccess with the continuous profiler installed and
  * actively sampling at the default 997 Hz: every access runs the
- * enabled-branch ScopedProfileStage push/pop while the sampler thread
- * snapshots the stack from outside. This prices the *enabled* mode —
- * the disabled-mode hook cost (one atomic load + branch) is what the
- * plain BM_CacheSimAccess row holds under the 5% baseline gate. The
- * perf gate bounds this row against the in-run BM_CacheSimAccess via
- * scripts/check_perf_regression.py --profile-threshold.
+ * enabled branch of its hot Stage (a profiler stack push/pop) while the
+ * sampler thread snapshots the stack from outside. This prices the
+ * *enabled* mode — the disabled-mode Stage cost (one atomic load +
+ * branch) is what the plain BM_CacheSimAccess row holds under the 5%
+ * baseline gate. The perf gate bounds this row against the in-run
+ * BM_CacheSimAccess via scripts/check_perf_regression.py
+ * --profile-threshold.
  */
 void
 BM_CacheSimAccessProfiled(benchmark::State &state)
@@ -329,7 +330,7 @@ BM_CacheSimAccessProfiled(benchmark::State &state)
     pc.hz = 997;
     pc.counters = false; // counter reads price leg/pass scopes, not this
     StageProfiler profiler(pc);
-    installStageProfiler(&profiler);
+    hooks().install(&profiler);
     uint32_t x = 0, y = 0;
     for (auto _ : state) {
         x = (x + 1) & 255;
@@ -337,7 +338,7 @@ BM_CacheSimAccessProfiled(benchmark::State &state)
             y = (y + 1) & 255;
         sim.access(x, y, 0);
     }
-    installStageProfiler(nullptr);
+    hooks().uninstall(&profiler);
     profiler.stopSampler();
     state.SetItemsProcessed(state.iterations());
 }

@@ -235,6 +235,21 @@ multiStreamFromCli(const CommandLine &cli)
     return ms;
 }
 
+/** Print the tracer's stage self-time table (no-op without --trace-out). */
+void
+printStageTimes(Observability &obs)
+{
+    if (!obs.trace())
+        return;
+    std::printf("\nstage self-times (%s):\n", obs.trace()->path().c_str());
+    TextTable st({"stage", "count", "total ms", "self ms"});
+    for (const StageStat &s : obs.trace()->stageStats())
+        st.addRow({s.name, std::to_string(s.count),
+                   formatDouble(static_cast<double>(s.total_us) / 1000.0, 2),
+                   formatDouble(static_cast<double>(s.self_us) / 1000.0, 2)});
+    st.print();
+}
+
 int
 runMultiStream(const CommandLine &cli)
 {
@@ -297,6 +312,7 @@ runMultiStream(const CommandLine &cli)
                     manifest.checkpoint.empty()
                         ? ""
                         : " (rerun with --resume to finish)");
+    printStageTimes(obs);
 
     try {
         obs.close();
@@ -630,18 +646,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (obs.trace()) {
-        std::printf("\nstage self-times (%s):\n",
-                    obs_cfg.trace_path.c_str());
-        TextTable st({"stage", "count", "total ms", "self ms"});
-        for (const StageStat &s : obs.trace()->stageStats())
-            st.addRow({s.name, std::to_string(s.count),
-                       formatDouble(static_cast<double>(s.total_us) / 1000.0,
-                                    2),
-                       formatDouble(static_cast<double>(s.self_us) / 1000.0,
-                                    2)});
-        st.print();
-    }
+    printStageTimes(obs);
 
     try {
         obs.close();

@@ -8,7 +8,11 @@
 #  - the metrics JSONL to contain one parseable frame row per frame of
 #    every sweep leg (legs x frames total), carrying the per-frame
 #    L1/L2/TLB counters and the 3C miss-class breakdown;
-#  - report --metrics to summarise that stream successfully.
+#  - report --metrics to summarise that stream successfully;
+#  - report compare to exit 0 on a run against itself, 3 against a
+#    shorter run under --threshold 0, and 1 on a missing file;
+#  - a --streams run with trace, profile and flight outputs to leave a
+#    trace that passes trace_validate and a non-empty folded profile.
 #
 # Usage: scripts/validate_trace.sh <cache_explorer> <trace_validate> <report>
 # Registered as the ctest case `trace_schema_script`.
@@ -51,5 +55,34 @@ done
 
 echo "== report --metrics =="
 "$REPORT" --metrics "$WORK/run.jsonl" >/dev/null
+
+echo "== report compare exit codes =="
+expect_exit() {
+    want="$1"
+    shift
+    rc=0
+    "$@" >/dev/null || rc=$?
+    if [ "$rc" -ne "$want" ]; then
+        echo "FAIL: expected exit $want, got $rc: $*"
+        exit 1
+    fi
+}
+"$EXPLORER" --sweep l2 --workload village --frames 2 --jobs 2 \
+    --metrics-out "$WORK/short.jsonl" >/dev/null
+expect_exit 0 "$REPORT" compare "$WORK/run.jsonl" "$WORK/run.jsonl" \
+    --threshold 0
+expect_exit 3 "$REPORT" compare "$WORK/run.jsonl" "$WORK/short.jsonl" \
+    --threshold 0
+expect_exit 1 "$REPORT" compare "$WORK/run.jsonl" "$WORK/missing.jsonl"
+
+echo "== stream-mode trace and profile =="
+"$EXPLORER" --streams 4 --jobs 2 --rounds 4 \
+    --trace-out "$WORK/streams.json" --profile-out "$WORK/streams_prof" \
+    --flight-out "$WORK/streams" >/dev/null
+"$VALIDATE" "$WORK/streams.json"
+if [ ! -s "$WORK/streams_prof.folded" ]; then
+    echo "FAIL: stream-mode folded profile is empty"
+    exit 1
+fi
 
 echo "OK"

@@ -5,9 +5,8 @@
 #include <string>
 #include <utility>
 
-#include "obs/profiler.hpp"
 #include "obs/reuse_profiler.hpp"
-#include "obs/trace_event.hpp"
+#include "obs/stage.hpp"
 #include "util/error.hpp"
 
 namespace mltc {
@@ -164,19 +163,10 @@ CacheSim::accessBatch(std::span<const TexelRef> refs)
 {
     if (refs.empty())
         return;
-    // One hook crossing per batch: the tracer/profiler presence check,
-    // the self-timer and the profile stage cover the whole span (the
+    // One hook crossing per batch: the stage covers the whole span (the
     // flight recorder and metrics planes read the per-frame counters
     // this path increments, so they too see one update per batch).
-    // The scopes live only on the observed branch: their destructors
-    // would otherwise force cleanup codegen onto the unobserved path.
-    if (globalTracer() != nullptr || stageProfiler() != nullptr)
-        [[unlikely]] {
-        SelfTimer timer(&access_ns_);
-        ScopedProfileStage prof("cachesim.access");
-        batchImpl(refs);
-        return;
-    }
+    Stage stage(HotStage::CacheSimAccess);
     batchImpl(refs);
 }
 
@@ -547,13 +537,11 @@ CacheSim::fetchFromHost(uint32_t t_index)
     frame_.host_bytes += host_sector_bytes_ * r.corrupt_transfers;
     if (!r.success)
         ++frame_.host_failures;
-    if (ChromeTraceWriter *t = globalTracer()) {
-        // Rare occurrences only — a healthy fetch emits nothing.
-        if (!r.success)
-            t->instant("host.fetch.failed", "host");
-        else if (r.retries)
-            t->instant("host.fetch.retried", "host");
-    }
+    // Rare occurrences only — a healthy fetch emits nothing.
+    if (!r.success)
+        event("host.fetch.failed", "host");
+    else if (r.retries)
+        event("host.fetch.retried", "host");
     return r.success;
 }
 

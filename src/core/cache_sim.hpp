@@ -303,19 +303,6 @@ class CacheSim final : public TexelAccessSink
     const MissClassifier *l2Classifier() const { return l2_class_.get(); }
 
     /**
-     * Harvest (and reset) wall time accumulated inside the texel access
-     * path while a global tracer was installed. Observability-derived,
-     * not simulator state: never serialized.
-     */
-    uint64_t
-    takeAccessNs()
-    {
-        const uint64_t ns = access_ns_;
-        access_ns_ = 0;
-        return ns;
-    }
-
-    /**
      * The fault injector, present only under fault injection. Non-const
      * so benches/tests can reconfigure the scenario mid-run.
      */
@@ -454,7 +441,6 @@ class CacheSim final : public TexelAccessSink
     std::unique_ptr<MissClassifier> l1_class_; ///< null unless classifying
     std::unique_ptr<MissClassifier> l2_class_; ///< null unless L2 + classify
     ReuseProfiler *profiler_ = nullptr; ///< not owned; null = disabled
-    uint64_t access_ns_ = 0; ///< SelfTimer accumulator (tracing only)
 
     // Per-bound-texture cached state (hot path).
     const TiledLayout *l1_layout_ = nullptr;

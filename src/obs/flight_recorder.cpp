@@ -8,7 +8,6 @@
 #include <sys/stat.h>
 
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "util/error.hpp"
 #include "util/io.hpp"
 #include "util/json.hpp"
@@ -46,14 +45,7 @@ FlightRecorder::ringForThisThread()
     // share rings round-robin (slot indices still interleave safely
     // through the atomic head, and the seqlock publish keeps readers
     // consistent).
-    thread_local const FlightRecorder *t_owner = nullptr;
-    thread_local uint32_t t_ring = 0;
-    if (t_owner != this) {
-        t_owner = this;
-        t_ring = next_ring_.fetch_add(1, std::memory_order_relaxed) %
-                 static_cast<uint32_t>(rings_.size());
-    }
-    return rings_[t_ring];
+    return rings_[thread_slots_.mine() % rings_.size()];
 }
 
 void
@@ -81,12 +73,12 @@ FlightRecorder::record(const char *name, const char *cat, uint8_t kind,
                           std::memory_order_relaxed);
 }
 
-std::vector<FlightEvent>
-FlightRecorder::snapshot() const
+std::vector<std::pair<uint32_t, FlightEvent>>
+FlightRecorder::collect() const
 {
-    std::vector<FlightEvent> events;
-    for (const Ring &ring : rings_) {
-        for (const Slot &slot : ring.slots) {
+    std::vector<std::pair<uint32_t, FlightEvent>> events;
+    for (uint32_t r = 0; r < rings_.size(); ++r) {
+        for (const Slot &slot : rings_[r].slots) {
             const uint64_t before =
                 slot.seq.load(std::memory_order_acquire);
             if (before == 0)
@@ -95,13 +87,22 @@ FlightRecorder::snapshot() const
             if (slot.seq.load(std::memory_order_acquire) != before ||
                 ev.seq != before)
                 continue; // torn by a concurrent rewrite; skip
-            events.push_back(ev);
+            events.emplace_back(r, ev);
         }
     }
     std::sort(events.begin(), events.end(),
-              [](const FlightEvent &a, const FlightEvent &b) {
-                  return a.seq < b.seq;
+              [](const auto &a, const auto &b) {
+                  return a.second.seq < b.second.seq;
               });
+    return events;
+}
+
+std::vector<FlightEvent>
+FlightRecorder::snapshot() const
+{
+    std::vector<FlightEvent> events;
+    for (const auto &[ring, ev] : collect())
+        events.push_back(ev);
     return events;
 }
 
@@ -111,92 +112,44 @@ FlightRecorder::dump(const std::string &reason)
     if (prefix_.empty())
         return "";
     try {
-        // Collect per-ring so each ring maps onto its own Chrome tid.
-        struct Tagged
-        {
-            uint32_t ring;
-            FlightEvent event;
-        };
-        std::vector<Tagged> events;
-        for (uint32_t w = 0; w < rings_.size(); ++w) {
-            for (const Slot &slot : rings_[w].slots) {
-                const uint64_t before =
-                    slot.seq.load(std::memory_order_acquire);
-                if (before == 0)
-                    continue;
-                FlightEvent ev = slot.event;
-                if (slot.seq.load(std::memory_order_acquire) != before ||
-                    ev.seq != before)
-                    continue;
-                events.push_back(Tagged{w, ev});
-            }
-        }
-        std::sort(events.begin(), events.end(),
-                  [](const Tagged &a, const Tagged &b) {
-                      return a.event.seq < b.event.seq;
-                  });
+        // Each ring maps onto its own Chrome tid.
+        const auto events = collect();
 
         // --- trace.json ------------------------------------------------
         JsonWriter w;
+        const auto meta = [&w](uint64_t tid, const char *what,
+                               const std::string &name) {
+            w.beginObject().kv("ph", "M").kv("pid", 1).kv("tid", tid);
+            w.kv("name", what).key("args").beginObject().kv("name", name);
+            w.endObject().endObject();
+        };
+        // Opens an instant's args object; the caller fills and closes it.
+        const auto instant = [&w](uint64_t tid, int64_t ts,
+                                  const std::string &name,
+                                  const std::string &cat) -> JsonWriter & {
+            w.beginObject().kv("ph", "i").kv("pid", 1).kv("tid", tid);
+            w.kv("ts", ts).kv("s", "t").kv("name", name).kv("cat", cat);
+            return w.key("args").beginObject();
+        };
         w.beginObject().key("traceEvents").beginArray();
-        w.beginObject()
-            .kv("ph", "M")
-            .kv("pid", 1)
-            .kv("tid", 1)
-            .kv("name", "process_name")
-            .key("args")
-            .beginObject()
-            .kv("name", "mltc-flight")
-            .endObject()
-            .endObject();
+        meta(1, "process_name", "mltc-flight");
         for (uint32_t r = 0; r < rings_.size(); ++r)
-            w.beginObject()
-                .kv("ph", "M")
-                .kv("pid", 1)
-                .kv("tid", static_cast<uint64_t>(r) + 1)
-                .kv("name", "thread_name")
-                .key("args")
-                .beginObject()
-                .kv("name", "flight-w" + std::to_string(r))
-                .endObject()
-                .endObject();
+            meta(r + 1, "thread_name", "flight-w" + std::to_string(r));
         // Per-tid clamp keeps timestamps monotonic even when several
         // threads shared a ring.
         std::map<uint32_t, int64_t> last_ts;
         int64_t max_ts = 0;
-        for (const Tagged &t : events) {
-            const uint32_t tid = t.ring + 1;
-            int64_t ts = t.event.ts_us;
-            auto it = last_ts.find(tid);
-            if (it != last_ts.end() && ts < it->second)
-                ts = it->second;
-            last_ts[tid] = ts;
-            max_ts = std::max(max_ts, ts);
-            w.beginObject()
-                .kv("ph", "i")
-                .kv("pid", 1)
-                .kv("tid", static_cast<uint64_t>(tid))
-                .kv("ts", ts)
-                .kv("s", "t")
-                .kv("name", std::string(t.event.name))
-                .kv("cat", std::string(t.event.cat))
-                .key("args")
-                .beginObject()
-                .kv("value", t.event.value)
-                .kv("seq", t.event.seq)
+        for (const auto &[ring, ev] : events) {
+            int64_t &last = last_ts.try_emplace(ring, ev.ts_us).first->second;
+            last = std::max(last, ev.ts_us);
+            max_ts = std::max(max_ts, last);
+            instant(ring + 1, last, ev.name, ev.cat)
+                .kv("value", ev.value)
+                .kv("seq", ev.seq)
                 .endObject()
                 .endObject();
         }
-        w.beginObject()
-            .kv("ph", "i")
-            .kv("pid", 1)
-            .kv("tid", 1)
-            .kv("ts", max_ts)
-            .kv("s", "t")
-            .kv("name", "flight.dumped")
-            .kv("cat", "flight")
-            .key("args")
-            .beginObject()
+        instant(1, max_ts, "flight.dumped", "flight")
             .kv("reason", reason)
             .kv("events", static_cast<uint64_t>(events.size()))
             .endObject()
@@ -246,25 +199,6 @@ FlightRecorder::dump(const std::string &reason)
                 "): " + e.what());
     }
     return "";
-}
-
-void
-installFlightRecorder(FlightRecorder *recorder)
-{
-    detail::g_flight.store(recorder, std::memory_order_release);
-}
-
-std::string
-flightDump(const std::string &reason)
-{
-    // A dump trigger (quarantine, watchdog, audit, I/O storm) is
-    // exactly when the profile-so-far matters: flush it next to the
-    // bundle, best-effort, matching the metrics/trace snapshot
-    // behaviour.
-    if (StageProfiler *p = stageProfiler())
-        p->flushOutputs();
-    FlightRecorder *fr = flightRecorder();
-    return fr ? fr->dump(reason) : "";
 }
 
 } // namespace mltc

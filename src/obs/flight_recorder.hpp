@@ -30,9 +30,10 @@
  *                  attached) one final frame-snapshot row — accepted
  *                  by `report --metrics`.
  *
- * A process-global install slot (like the global tracer) lets runners
- * and sinks record without plumbing: every hook is one atomic load +
- * branch when no recorder is installed.
+ * Installed in the hook registry (obs/stage.hpp), the recorder receives
+ * every event() instant plus the frame marks and metric samples below;
+ * each of those is one atomic load + branch when no recorder is
+ * installed.
  */
 #ifndef MLTC_OBS_FLIGHT_RECORDER_HPP
 #define MLTC_OBS_FLIGHT_RECORDER_HPP
@@ -41,7 +42,10 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "obs/stage.hpp"
 
 namespace mltc {
 
@@ -92,9 +96,6 @@ class FlightRecorder
     std::string dump(const std::string &reason);
 
     uint64_t recorded() const { return seq_.load(); }
-    uint32_t capacity() const { return capacity_; }
-    uint32_t workers() const { return static_cast<uint32_t>(rings_.size()); }
-    const std::string &prefix() const { return prefix_; }
 
   private:
     struct Slot
@@ -112,45 +113,34 @@ class FlightRecorder
     };
 
     Ring &ringForThisThread();
+    /** Every untorn slot as (ring, event), in seq order. */
+    std::vector<std::pair<uint32_t, FlightEvent>> collect() const;
 
     uint32_t capacity_;
     std::string prefix_;
     MetricsRegistry *registry_;
     std::vector<Ring> rings_;
     std::atomic<uint64_t> seq_{0};
-    std::atomic<uint32_t> next_ring_{0};
+    ThreadSlots<FlightRecorder> thread_slots_;
     std::atomic<int64_t> last_frame_{-1};
     std::chrono::steady_clock::time_point t0_;
 };
 
-namespace detail {
-/** Process-global recorder slot (mirrors detail::g_tracer). */
-inline std::atomic<FlightRecorder *> g_flight{nullptr};
-} // namespace detail
-
-/** Install @p recorder as the process recorder (null to remove). */
-void installFlightRecorder(FlightRecorder *recorder);
-
-/** The process recorder, or null when none is installed. */
-inline FlightRecorder *
-flightRecorder()
-{
-    return detail::g_flight.load(std::memory_order_acquire);
-}
-
-/** Record against the process recorder; no-op when absent. */
+/**
+ * hooks().install(@p recorder) (null removes any), under the name the
+ * frozen perfbench driver calls.
+ */
 inline void
-flightEvent(const char *name, const char *cat, double value = 0.0)
+installFlightRecorder(FlightRecorder *recorder)
 {
-    if (FlightRecorder *fr = flightRecorder())
-        fr->record(name, cat, FlightEvent::Instant, value);
+    hooks().install(recorder);
 }
 
 /** Record one metric delta sample; no-op when absent. */
 inline void
 flightMetric(const char *name, double value)
 {
-    if (FlightRecorder *fr = flightRecorder())
+    if (FlightRecorder *fr = hooks().flight())
         fr->record(name, "metric", FlightEvent::Metric, value);
 }
 
@@ -158,13 +148,10 @@ flightMetric(const char *name, double value)
 inline void
 flightFrame(int64_t frame)
 {
-    if (FlightRecorder *fr = flightRecorder())
+    if (FlightRecorder *fr = hooks().flight())
         fr->record("frame", "frame", FlightEvent::Frame,
                    static_cast<double>(frame));
 }
-
-/** Dump the process recorder; returns "" when absent or failed. */
-std::string flightDump(const std::string &reason);
 
 } // namespace mltc
 

@@ -63,7 +63,7 @@ Observability::Observability(const ObsConfig &config,
     if (!cfg_.trace_path.empty()) {
         trace_ = std::make_unique<ChromeTraceWriter>(cfg_.trace_path);
         if (hooks_)
-            setGlobalTracer(trace_.get());
+            hooks().install(trace_.get());
     }
     if (!cfg_.profile_out.empty()) {
         ProfilerConfig pc;
@@ -74,7 +74,7 @@ Observability::Observability(const ObsConfig &config,
         pc.registry = &metrics_;
         profiler_ = std::make_unique<StageProfiler>(pc);
         if (hooks_)
-            installStageProfiler(profiler_.get());
+            hooks().install(profiler_.get());
     }
     if (cfg_.telemetry) {
         TelemetryConfig tc;
@@ -96,7 +96,7 @@ Observability::Observability(const ObsConfig &config,
         fc.registry = &metrics_;
         flight_ = std::make_unique<FlightRecorder>(fc);
         if (hooks_)
-            installFlightRecorder(flight_.get());
+            hooks().install(flight_.get());
     }
 }
 
@@ -104,15 +104,19 @@ Observability::~Observability()
 {
     if (hooks_ && metrics_sink_)
         setLogJsonlSink(nullptr);
-    if (hooks_ && trace_ && globalTracer() == trace_.get())
-        setGlobalTracer(nullptr);
-    if (hooks_ && flight_ && flightRecorder() == flight_.get())
-        installFlightRecorder(nullptr);
-    if (hooks_ && profiler_ && stageProfiler() == profiler_.get())
-        installStageProfiler(nullptr);
+    unhook();
     // The telemetry server joins its thread in its own destructor;
     // sinks close themselves best-effort; explicit close() reports I/O
     // failures as typed errors.
+}
+
+void
+Observability::unhook()
+{
+    // Each backend leaves only while it is still the installed one.
+    hooks().uninstall(trace_.get());
+    hooks().uninstall(profiler_.get());
+    hooks().uninstall(flight_.get());
 }
 
 void
@@ -132,52 +136,29 @@ Observability::close()
     // Telemetry loss must not abort the run that produced it: a sink
     // that hit I/O failure reports a typed error here, which we log and
     // swallow so the sweep's actual results still land.
+    const auto closeSink = [](const char *name, const auto &close) {
+        try {
+            close();
+        } catch (const Exception &e) {
+            logWarn(std::string("observability: ") + name +
+                    " sink lost: " + e.error().describe());
+        }
+    };
     if (telemetry_)
         telemetry_->stop(); // joins the scrape thread
-    if (hooks_ && flight_ && flightRecorder() == flight_.get())
-        installFlightRecorder(nullptr);
+    unhook();
     if (profiler_) {
-        if (hooks_ && stageProfiler() == profiler_.get())
-            installStageProfiler(nullptr);
         profiler_->stopSampler();
-        try {
-            profiler_->writeOutputs();
-        } catch (const Exception &e) {
-            ++sink_errors_;
-            logWarn("observability: profile sink lost: " +
-                    e.error().describe());
-        }
+        closeSink("profile", [this] { profiler_->writeOutputs(); });
     }
-    if (slo_sink_) {
-        try {
-            slo_sink_->close();
-        } catch (const Exception &e) {
-            ++sink_errors_;
-            logWarn("observability: slo sink lost: " +
-                    e.error().describe());
-        }
-    }
-    if (trace_) {
-        if (hooks_ && globalTracer() == trace_.get())
-            setGlobalTracer(nullptr);
-        try {
-            trace_->close();
-        } catch (const Exception &e) {
-            ++sink_errors_;
-            logWarn("observability: trace sink lost: " +
-                    e.error().describe());
-        }
-    }
+    if (slo_sink_)
+        closeSink("slo", [this] { slo_sink_->close(); });
+    if (trace_)
+        closeSink("trace", [this] { trace_->close(); });
     if (metrics_sink_) {
         if (hooks_)
             setLogJsonlSink(nullptr);
-        try {
-            metrics_sink_->close();
-        } catch (const Exception &e) {
-            ++sink_errors_;
-            logWarn("observability: metrics sink lost: " +
-                    e.error().describe());
-        }
+        closeSink("metrics", [this] { metrics_sink_->close(); });
     }
 }
 

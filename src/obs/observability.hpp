@@ -28,8 +28,8 @@
  *   --profile-no-counters     skip perf_event_open entirely
  *
  * Observability owns the registry, the trace writer and the JSONL
- * sinks, installs itself as the process-global tracer for its
- * lifetime, and mirrors the structured log stream into the metrics
+ * sinks, installs its tracer, profiler and flight recorder in the hook
+ * registry (obs/stage.hpp) for its lifetime, and mirrors the structured log stream into the metrics
  * JSONL file (one shared sink, rows distinguished by their keys).
  * Attach it to a MultiConfigRunner with setObservability(); call
  * close() before reading the output files.
@@ -94,7 +94,7 @@ class Observability
   public:
     /**
      * @p install_process_hooks wires the process-global integrations
-     * (log-to-JSONL mirroring, global tracer). Parallel sweep legs pass
+     * (log-to-JSONL mirroring, the hook registry). Parallel sweep legs pass
      * false: each leg owns a private metrics sink and must not fight
      * over process globals; the sweep driver keeps one shared,
      * thread-safe tracer installed instead.
@@ -102,7 +102,7 @@ class Observability
     explicit Observability(const ObsConfig &config,
                            bool install_process_hooks = true);
 
-    /** Uninstalls the global tracer; best-effort close. */
+    /** Uninstalls its backends; best-effort close. */
     ~Observability();
 
     Observability(const Observability &) = delete;
@@ -144,16 +144,16 @@ class Observability
     void flush();
 
     /**
-     * Flush and close every sink. Sink I/O failures are logged and
-     * counted (sinkErrors()) rather than thrown — lost telemetry must
-     * never take down the run that produced it.
+     * Flush and close every sink. Sink I/O failures are logged rather
+     * than thrown — lost telemetry must never take down the run that
+     * produced it.
      */
     void close();
 
-    /** Sinks lost to I/O failure at close(). */
-    int sinkErrors() const { return sink_errors_; }
-
   private:
+    /** Remove this bundle's backends from the hook registry. */
+    void unhook();
+
     ObsConfig cfg_;
     bool hooks_;
     MetricsRegistry metrics_;
@@ -164,7 +164,6 @@ class Observability
     std::unique_ptr<JsonlFileSink> slo_sink_;
     std::unique_ptr<FlightRecorder> flight_;
     std::unique_ptr<StageProfiler> profiler_;
-    int sink_errors_ = 0;
 };
 
 } // namespace mltc

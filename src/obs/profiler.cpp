@@ -22,17 +22,6 @@ namespace {
 
 constexpr uint32_t kRingCapacity = 512; ///< samples buffered per thread
 
-/** Claim bookkeeping: which profiler instance this thread belongs to. */
-struct TlsClaim
-{
-    uint64_t generation = 0;
-    uint32_t slot = detail::kProfileMaxThreads; ///< invalid marker
-};
-
-thread_local TlsClaim t_claim;
-
-std::atomic<uint64_t> g_generation{1};
-
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -216,27 +205,10 @@ diffFoldedProfiles(const FoldedProfile &a, const FoldedProfile &b,
 }
 
 // ---------------------------------------------------------------------------
-// Global slot
-
-void
-installStageProfiler(StageProfiler *profiler)
-{
-    detail::g_profiler.store(profiler, std::memory_order_release);
-}
-
-const char *
-profileInternAnnotation(const std::string &name)
-{
-    StageProfiler *p = stageProfiler();
-    return p ? p->intern(name) : nullptr;
-}
-
-// ---------------------------------------------------------------------------
 // StageProfiler
 
 StageProfiler::StageProfiler(const ProfilerConfig &config)
-    : cfg_(config),
-      generation_(g_generation.fetch_add(1, std::memory_order_relaxed))
+    : cfg_(config)
 {
     if (cfg_.hz == 0 || cfg_.hz > 100000)
         throw Exception(ErrorCode::BadArgument,
@@ -278,26 +250,12 @@ StageProfiler::stopSampler()
         sampler_.join();
 }
 
-uint32_t
-StageProfiler::slotForThisThread()
-{
-    if (t_claim.generation == generation_)
-        return t_claim.slot;
-    const uint32_t idx =
-        next_slot_.fetch_add(1, std::memory_order_acq_rel);
-    t_claim.generation = generation_;
-    t_claim.slot = idx < detail::kProfileMaxThreads
-                       ? idx
-                       : detail::kProfileMaxThreads;
-    return t_claim.slot;
-}
-
 detail::ProfileSlot *
 StageProfiler::enter(const char *name)
 {
     if (name == nullptr)
         return nullptr;
-    const uint32_t idx = slotForThisThread();
+    const uint32_t idx = thread_slots_.mine();
     if (idx >= detail::kProfileMaxThreads) {
         dropped_.fetch_add(1, std::memory_order_relaxed);
         return nullptr;
@@ -359,9 +317,8 @@ StageProfiler::samplerLoop()
 void
 StageProfiler::tickLocked()
 {
-    const uint32_t claimed = std::min(
-        next_slot_.load(std::memory_order_acquire),
-        detail::kProfileMaxThreads);
+    const uint32_t claimed =
+        std::min(thread_slots_.claimed(), detail::kProfileMaxThreads);
     for (uint32_t i = 0; i < claimed; ++i) {
         detail::ProfileSlot &slot = slots_[i];
         const uint32_t d = slot.depth.load(std::memory_order_acquire);
@@ -420,11 +377,8 @@ StageProfiler::publishRegistryLocked()
 {
     if (cfg_.registry == nullptr)
         return;
-    uint64_t pending = 0;
-    for (const std::vector<Sample> &ring : rings_)
-        pending += ring.size();
     auto guard = cfg_.registry->updateGuard();
-    samples_metric_.set(folded_samples_ + pending);
+    samples_metric_.set(sampleCountLocked());
     dropped_metric_.set(dropped_.load(std::memory_order_relaxed));
 }
 
@@ -432,10 +386,16 @@ uint64_t
 StageProfiler::sampleCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    uint64_t pending = 0;
+    return sampleCountLocked();
+}
+
+uint64_t
+StageProfiler::sampleCountLocked() const
+{
+    uint64_t count = folded_samples_;
     for (const std::vector<Sample> &ring : rings_)
-        pending += ring.size();
-    return folded_samples_ + pending;
+        count += ring.size();
+    return count;
 }
 
 // ---------------------------------------------------------------------------
@@ -515,7 +475,7 @@ StageProfiler::readCounters(uint64_t out[4])
     if (!cfg_.counters ||
         counters_unavailable_.load(std::memory_order_relaxed))
         return false;
-    const uint32_t idx = slotForThisThread();
+    const uint32_t idx = thread_slots_.mine();
     if (idx >= detail::kProfileMaxThreads)
         return false;
     HwGroup &g = groups_[idx];
@@ -553,15 +513,19 @@ StageProfiler::readCounters(uint64_t out[4])
 }
 
 void
-StageProfiler::accumulateCounters(const char *stage, const uint64_t delta[4])
+StageProfiler::accumulateCounters(const char *stage, const uint64_t start[4],
+                                  const uint64_t end[4])
 {
+    const auto delta = [&](int i) {
+        return end[i] >= start[i] ? end[i] - start[i] : 0;
+    };
     std::lock_guard<std::mutex> lock(mutex_);
     HwStageCounters &c = counter_stats_[stage];
     ++c.enters;
-    c.cycles += delta[0];
-    c.instructions += delta[1];
-    c.llc_misses += delta[2];
-    c.branch_misses += delta[3];
+    c.cycles += delta(0);
+    c.instructions += delta(1);
+    c.llc_misses += delta(2);
+    c.branch_misses += delta(3);
 }
 
 // ---------------------------------------------------------------------------
@@ -589,9 +553,8 @@ StageProfiler::renderJsonLocked()
         .kv("samples", profile.total_samples)
         .kv("dropped", dropped_.load(std::memory_order_relaxed))
         .kv("threads",
-            static_cast<uint64_t>(std::min(
-                next_slot_.load(std::memory_order_relaxed),
-                detail::kProfileMaxThreads)))
+            static_cast<uint64_t>(std::min(thread_slots_.claimed(),
+                                           detail::kProfileMaxThreads)))
         .kv("duration_us", elapsed_us)
         .endObject();
 

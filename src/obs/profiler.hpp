@@ -6,10 +6,8 @@
  * Three legs, one subsystem:
  *
  *  1. A sampling stage profiler. Every worker thread maintains a
- *     lock-free annotated stage stack (pushed by ScopedProfileStage
- *     from the same hook sites the Chrome tracer instruments:
- *     rasterizer passes, the sampler, CacheSim::accessBatch, sweep legs
- *     and tenant streams). A per-process sampler thread wakes at
+ *     lock-free stage stack, pushed by every Stage scope
+ *     (obs/stage.hpp). A per-process sampler thread wakes at
  *     --profile-hz (default 997, prime so it cannot phase-lock with
  *     frame loops) and snapshots every claimed stack into a per-thread
  *     ring buffer; rings fold into an aggregate stack->count map when
@@ -33,12 +31,9 @@
  *     [--threshold R]` exits 3 over threshold, the same contract as
  *     `report compare`.
  *
- * Concurrency model (mirrors trace_event.hpp's global-slot idiom): the
- * profiler installs into an atomic process-global slot; when absent,
- * every hook is one atomic load + branch. Stack push/pop are plain
- * atomic stores (no RMW, no fence beyond release) on a cache-line-
- * aligned per-thread slot; the sampler reads depth with acquire and
- * the frames relaxed. A torn read can momentarily misattribute one
+ * Concurrency model: stack push/pop are plain atomic stores (no RMW,
+ * no fence beyond release) on a cache-line-aligned per-thread slot;
+ * the sampler reads depth with acquire and the frames relaxed. A torn read can momentarily misattribute one
  * sample to a neighbouring stage — harmless for a statistical profile
  * and the price of a zero-lock hot path.
  *
@@ -64,10 +59,9 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/stage.hpp"
 
 namespace mltc {
-
-class StageProfiler;
 
 /** Profiler knobs (a slice of ObsConfig). */
 struct ProfilerConfig
@@ -97,25 +91,7 @@ struct alignas(64) ProfileSlot
     std::atomic<const char *> frames[kProfileMaxDepth] = {};
 };
 
-/** The process-global profiler slot; mirrors detail::g_tracer. */
-inline std::atomic<StageProfiler *> g_profiler{nullptr};
-
 } // namespace detail
-
-/** Install @p profiler as the process-global profiler (null removes). */
-void installStageProfiler(StageProfiler *profiler);
-
-/**
- * The process-global profiler, or null when profiling is disabled.
- * Inline for the same reason globalTracer() is: the disabled-mode cost
- * of every hook must stay one atomic load + branch (the <5% microbench
- * gate measures exactly this).
- */
-inline StageProfiler *
-stageProfiler()
-{
-    return detail::g_profiler.load(std::memory_order_acquire);
-}
 
 /** Hardware counter totals attributed to one stage. */
 struct HwStageCounters
@@ -215,7 +191,7 @@ class StageProfiler
      * Push @p name on the calling thread's stage stack. Returns the
      * thread's slot for the matching leave(), or null when the thread
      * pool outgrew kProfileMaxThreads (the sample is counted dropped).
-     * Null @p name is a no-op. Called by ScopedProfileStage only.
+     * Null @p name is a no-op. Called by Stage only.
      */
     detail::ProfileSlot *enter(const char *name);
 
@@ -242,9 +218,6 @@ class StageProfiler
         return counters_unavailable_.load(std::memory_order_relaxed);
     }
 
-    /** Whether counter scopes should even attempt a read. */
-    bool countersWanted() const { return cfg_.counters; }
-
     /**
      * Read the calling thread's counter group (opening it lazily).
      * Returns false — after flipping the unavailable gauge — when the
@@ -253,8 +226,9 @@ class StageProfiler
      */
     bool readCounters(uint64_t out[4]);
 
-    /** Attribute a counter delta (exit minus enter) to @p stage. */
-    void accumulateCounters(const char *stage, const uint64_t delta[4]);
+    /** Attribute the counter delta @p end minus @p start to @p stage. */
+    void accumulateCounters(const char *stage, const uint64_t start[4],
+                            const uint64_t end[4]);
 
     /** Samples folded so far (rings included). */
     uint64_t sampleCount() const;
@@ -308,16 +282,15 @@ class StageProfiler
     void foldRingLocked(uint32_t slot);
     void foldAllLocked();
     void publishRegistryLocked();
+    uint64_t sampleCountLocked() const;
     std::string renderJsonLocked();
-    uint32_t slotForThisThread();
     bool openGroup(HwGroup &g);
     void markCountersUnavailable();
 
     ProfilerConfig cfg_;
-    const uint64_t generation_; ///< distinguishes profiler instances
+    ThreadSlots<StageProfiler> thread_slots_;
     detail::ProfileSlot slots_[detail::kProfileMaxThreads];
     HwGroup groups_[detail::kProfileMaxThreads];
-    std::atomic<uint32_t> next_slot_{0};
     std::atomic<uint64_t> dropped_{0};
     std::atomic<bool> counters_unavailable_{false};
 
@@ -341,70 +314,6 @@ class StageProfiler
     std::condition_variable wake_cv_;
     std::thread sampler_;
 };
-
-/**
- * RAII stage scope against the global profiler; a no-op when none is
- * installed (one inline atomic load + branch) or when @p name is null
- * (an annotation interned while no profiler existed).
- *
- * With @p with_counters, the scope also brackets a grouped hardware
- * counter read and attributes the delta to @p name — reserved for
- * coarse stages (rasterizer passes, whole sweep legs); never put it on
- * a per-texel path.
- */
-class ScopedProfileStage
-{
-  public:
-    explicit ScopedProfileStage(const char *name)
-    {
-        StageProfiler *p = stageProfiler();
-        if (p != nullptr && name != nullptr) [[unlikely]]
-            slot_ = p->enter(name);
-    }
-
-    ScopedProfileStage(const char *name, bool with_counters) : name_(name)
-    {
-        StageProfiler *p = stageProfiler();
-        if (p != nullptr && name != nullptr) [[unlikely]] {
-            slot_ = p->enter(name);
-            if (with_counters && p->countersWanted())
-                counting_ = p->readCounters(start_);
-            prof_ = p;
-        }
-    }
-
-    ~ScopedProfileStage()
-    {
-        if (counting_) {
-            uint64_t end[4];
-            if (prof_->readCounters(end)) {
-                uint64_t delta[4];
-                for (int i = 0; i < 4; ++i)
-                    delta[i] = end[i] >= start_[i] ? end[i] - start_[i] : 0;
-                prof_->accumulateCounters(name_, delta);
-            }
-        }
-        if (slot_ != nullptr) [[unlikely]]
-            StageProfiler::leave(slot_);
-    }
-
-    ScopedProfileStage(const ScopedProfileStage &) = delete;
-    ScopedProfileStage &operator=(const ScopedProfileStage &) = delete;
-
-  private:
-    detail::ProfileSlot *slot_ = nullptr;
-    StageProfiler *prof_ = nullptr;
-    const char *name_ = nullptr;
-    bool counting_ = false;
-    uint64_t start_[4] = {};
-};
-
-/**
- * Intern an annotation frame ("leg:NAME", "stream:NAME") against the
- * global profiler; null when profiling is off (ScopedProfileStage
- * treats a null name as a no-op, so call sites stay unconditional).
- */
-const char *profileInternAnnotation(const std::string &name);
 
 } // namespace mltc
 

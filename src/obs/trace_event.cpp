@@ -10,12 +10,6 @@
 
 namespace mltc {
 
-void
-setGlobalTracer(ChromeTraceWriter *tracer)
-{
-    detail::g_tracer.store(tracer, std::memory_order_release);
-}
-
 ChromeTraceWriter::ChromeTraceWriter(const std::string &path)
     : path_(path), t0_(std::chrono::steady_clock::now())
 {
@@ -81,20 +75,6 @@ ChromeTraceWriter::nowUsLocked()
     // Clamp for monotonicity: the schema requires non-decreasing ts.
     last_ts_ = std::max(last_ts_, static_cast<uint64_t>(us));
     return last_ts_;
-}
-
-uint64_t
-ChromeTraceWriter::nowUs()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return nowUsLocked();
-}
-
-uint64_t
-ChromeTraceWriter::events() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return events_;
 }
 
 bool
@@ -165,10 +145,7 @@ ChromeTraceWriter::emitCommon(const std::string &name, const char *cat)
 void
 ChromeTraceWriter::finishEvent()
 {
-    if (!file_)
-        return;
     putLocked("}", 1);
-    ++events_;
 }
 
 void
@@ -214,18 +191,6 @@ ChromeTraceWriter::end()
 }
 
 void
-ChromeTraceWriter::instant(const std::string &name, const char *cat)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    ThreadState &state = threadState();
-    emitPrefix('i', nowUsLocked(), state.tid);
-    emitCommon(name, cat);
-    if (file_)
-        putLocked(",\"s\":\"t\"");
-    finishEvent();
-}
-
-void
 ChromeTraceWriter::instant(
     const std::string &name, const char *cat,
     const std::vector<std::pair<std::string, std::string>> &args)
@@ -234,13 +199,15 @@ ChromeTraceWriter::instant(
     ThreadState &state = threadState();
     emitPrefix('i', nowUsLocked(), state.tid);
     emitCommon(name, cat);
-    if (file_) {
+    if (file_)
+        putLocked(",\"s\":\"t\"");
+    if (file_ && !args.empty()) {
         JsonWriter a;
         a.beginObject();
         for (const auto &[k, v] : args)
             a.kv(k, v);
         a.endObject();
-        putLocked(",\"s\":\"t\",\"args\":" + a.str());
+        putLocked(",\"args\":" + a.str());
     }
     finishEvent();
 }
@@ -266,14 +233,22 @@ ChromeTraceWriter::counter(
 }
 
 void
-ChromeTraceWriter::recordAggregate(const std::string &name, uint64_t duration_us)
+ChromeTraceWriter::addHot(HotStage stage, uint64_t ns)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    StageStat &stat = stages_[name];
-    stat.name = name;
-    ++stat.count;
-    stat.total_us += duration_us;
-    stat.self_us += duration_us;
+    const size_t h = static_cast<size_t>(stage);
+    const uint32_t idx = hot_slots_.mine();
+    if (idx >= kHotThreads) {
+        HotSums &shared = hot_[kHotThreads];
+        shared.ns[h].fetch_add(ns, std::memory_order_relaxed);
+        shared.count[h].fetch_add(1, std::memory_order_relaxed);
+        return;
+    }
+    // Only this thread writes its line: a plain load and store.
+    HotSums &own = hot_[idx];
+    own.ns[h].store(own.ns[h].load(std::memory_order_relaxed) + ns,
+                    std::memory_order_relaxed);
+    own.count[h].store(own.count[h].load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
 }
 
 std::vector<StageStat>
@@ -284,6 +259,18 @@ ChromeTraceWriter::stageStats() const
     out.reserve(stages_.size());
     for (const auto &[name, stat] : stages_)
         out.push_back(stat);
+    for (size_t h = 0; h < kHotStages; ++h) {
+        StageStat hot;
+        hot.name = hotStageName(static_cast<HotStage>(h));
+        uint64_t ns = 0;
+        for (const HotSums &sums : hot_) {
+            ns += sums.ns[h].load(std::memory_order_relaxed);
+            hot.count += sums.count[h].load(std::memory_order_relaxed);
+        }
+        hot.total_us = hot.self_us = ns / 1000;
+        if (hot.count > 0)
+            out.push_back(std::move(hot));
+    }
     std::sort(out.begin(), out.end(),
               [](const StageStat &a, const StageStat &b) {
                   return a.total_us > b.total_us;
@@ -315,8 +302,7 @@ ChromeTraceWriter::close()
             failed = failed_;
         }
     }
-    ChromeTraceWriter *self = this;
-    detail::g_tracer.compare_exchange_strong(self, nullptr);
+    hooks().uninstall(this);
     if (!rc || failed)
         throw Exception(ErrorCode::Io,
                         "ChromeTraceWriter: write failure on '" + path_ + "'");

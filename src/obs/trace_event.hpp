@@ -6,8 +6,9 @@
  * (`{"traceEvents":[...],"displayTimeUnit":"ms"}`) whose events follow
  * the Chrome Trace Event Format:
  *
- *  - duration events (ph B/E) from ScopedTrace profiling scopes,
- *    strictly nested per thread id, with non-decreasing timestamps;
+ *  - duration events (ph B/E) from timeline Stage scopes
+ *    (obs/stage.hpp), strictly nested per thread id, with
+ *    non-decreasing timestamps;
  *  - counter events (ph C) for per-frame tracks (miss rates, AGP
  *    bandwidth);
  *  - instant events (ph i) for notable occurrences (checkpoint
@@ -17,20 +18,19 @@
  * Load the file in Perfetto (ui.perfetto.dev) or chrome://tracing; see
  * docs/observability.md for the walkthrough.
  *
- * A process-global tracer pointer lets hot paths (rasterizer, sampler,
- * CacheSim, host fetch) instrument themselves without plumbing a
- * writer through every constructor: when no tracer is installed every
- * hook is one null-check. The slot is an atomic and the writer is
- * internally synchronized, so parallel sweep legs can stream into one
- * trace file: each OS thread gets its own Chrome tid (the first thread
- * keeps tid 1, "simulation"; workers announce themselves as
- * "worker-N") and its own scope stack, preserving the per-(pid,tid)
- * strict nesting and non-decreasing timestamps the schema checker
- * (trace_validate) verifies.
+ * Installed in the hook registry (obs/stage.hpp), the writer receives
+ * every Stage and event() in the process. It is internally
+ * synchronized, so parallel sweep legs can stream into one trace file:
+ * each OS thread gets its own Chrome tid (the first thread keeps tid 1,
+ * "simulation"; workers announce themselves as "worker-N") and its own
+ * scope stack, preserving the per-(pid,tid) strict nesting and
+ * non-decreasing timestamps the schema checker (trace_validate)
+ * verifies.
  *
  * The writer also aggregates per-stage totals (count, total wall time,
- * self time excluding children) from its scopes so drivers can print a
- * stage self-time summary without re-parsing the file.
+ * self time excluding children) from its scopes, plus the hot stages'
+ * per-thread duration sums, so drivers can print a stage self-time
+ * summary without re-parsing the file.
  */
 #ifndef MLTC_OBS_TRACE_EVENT_HPP
 #define MLTC_OBS_TRACE_EVENT_HPP
@@ -45,6 +45,8 @@
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include "obs/stage.hpp"
 
 namespace mltc {
 
@@ -78,39 +80,31 @@ class ChromeTraceWriter
     ChromeTraceWriter(const ChromeTraceWriter &) = delete;
     ChromeTraceWriter &operator=(const ChromeTraceWriter &) = delete;
 
-    /** Microseconds since construction (monotonic, never decreasing). */
-    uint64_t nowUs();
-
     /** Open a duration scope (ph B). Pair with end(). */
     void begin(const std::string &name, const char *cat);
 
     /** Close the innermost duration scope (ph E). */
     void end();
 
-    /** Emit an instant event (ph i, thread scope). */
-    void instant(const std::string &name, const char *cat);
-
     /**
-     * Emit an instant event carrying string args (SLO alerts attach
-     * rule/entity/burn context the schema validator checks).
+     * Emit an instant event (ph i, thread scope), carrying string
+     * @p args when there are any (SLO alerts attach rule/entity context
+     * the schema validator checks).
      */
     void
     instant(const std::string &name, const char *cat,
-            const std::vector<std::pair<std::string, std::string>> &args);
+            const std::vector<std::pair<std::string, std::string>> &args = {});
 
     /** Emit one counter sample (ph C): a named track of series. */
     void counter(const std::string &name,
                  const std::vector<std::pair<std::string, double>> &series);
 
     /**
-     * Record wall time measured elsewhere (e.g. accumulated per-call
-     * sampler/CacheSim self time) into the stage aggregates without
-     * emitting a timeline event.
+     * Add one hot-stage entry of @p ns to the calling thread's own
+     * accumulator (called by Stage). Lock-free, and no read-modify-write
+     * on a cache line another thread writes.
      */
-    void recordAggregate(const std::string &name, uint64_t duration_us);
-
-    /** Events written so far (excluding metadata). */
-    uint64_t events() const;
+    void addHot(HotStage stage, uint64_t ns);
 
     /** True once an I/O failure disabled the sink (events dropped). */
     bool disabled() const;
@@ -127,7 +121,10 @@ class ChromeTraceWriter
      */
     void flush();
 
-    /** Stage aggregates, most total time first. */
+    /**
+     * Stage aggregates, most total time first. Hot stages report their
+     * entry count and summed duration as both total and self time.
+     */
     std::vector<StageStat> stageStats() const;
 
     const std::string &path() const { return path_; }
@@ -169,90 +166,23 @@ class ChromeTraceWriter
     std::FILE *file_ = nullptr;
     std::chrono::steady_clock::time_point t0_;
     uint64_t last_ts_ = 0;
-    uint64_t events_ = 0;
     bool first_ = true;
     bool failed_ = false;
     uint32_t next_tid_ = 1;
     std::map<std::thread::id, ThreadState> threads_;
     std::map<std::string, StageStat> stages_;
     mutable std::mutex mutex_;
-};
 
-namespace detail {
-/** The process-global tracer slot; use globalTracer()/setGlobalTracer. */
-inline std::atomic<ChromeTraceWriter *> g_tracer{nullptr};
-} // namespace detail
-
-/** Install @p tracer as the process-global tracer (null to remove). */
-void setGlobalTracer(ChromeTraceWriter *tracer);
-
-/**
- * The process-global tracer, or null when tracing is disabled. Inline
- * so hot-path hooks (SelfTimer, per-texel guards) compile down to one
- * atomic load + branch instead of a cross-TU call; acquire pairs with
- * the installer's release so the writer's construction is visible to
- * every worker that observes the pointer.
- */
-inline ChromeTraceWriter *
-globalTracer()
-{
-    return detail::g_tracer.load(std::memory_order_acquire);
-}
-
-/** RAII duration scope against the global tracer; no-op when absent. */
-class ScopedTrace
-{
-  public:
-    ScopedTrace(const char *name, const char *cat) : t_(globalTracer())
+    /** One thread's hot-stage sums, alone on its cache line. */
+    struct alignas(64) HotSums
     {
-        if (t_)
-            t_->begin(name, cat);
-    }
-
-    ~ScopedTrace()
-    {
-        if (t_)
-            t_->end();
-    }
-
-    ScopedTrace(const ScopedTrace &) = delete;
-    ScopedTrace &operator=(const ScopedTrace &) = delete;
-
-  private:
-    ChromeTraceWriter *t_;
-};
-
-/**
- * Accumulating timer for hot paths too fine-grained for one trace
- * event each (per-texel access, per-sample sink dispatch): adds the
- * scope's wall time to @p accum_ns only while a global tracer is
- * installed; otherwise construction is a single null-check.
- */
-class SelfTimer
-{
-  public:
-    explicit SelfTimer(uint64_t *accum_ns)
-        : accum_(globalTracer() ? accum_ns : nullptr)
-    {
-        if (accum_)
-            start_ = std::chrono::steady_clock::now();
-    }
-
-    ~SelfTimer()
-    {
-        if (accum_)
-            *accum_ += static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count());
-    }
-
-    SelfTimer(const SelfTimer &) = delete;
-    SelfTimer &operator=(const SelfTimer &) = delete;
-
-  private:
-    uint64_t *accum_;
-    std::chrono::steady_clock::time_point start_;
+        std::atomic<uint64_t> ns[kHotStages] = {};
+        std::atomic<uint64_t> count[kHotStages] = {};
+    };
+    static constexpr uint32_t kHotThreads = 64;
+    /** One per thread; threads past kHotThreads share the last. */
+    HotSums hot_[kHotThreads + 1];
+    ThreadSlots<ChromeTraceWriter> hot_slots_;
 };
 
 } // namespace mltc

@@ -6,8 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/profiler.hpp"
-#include "obs/trace_event.hpp"
+#include "obs/stage.hpp"
 
 namespace mltc {
 
@@ -42,18 +41,14 @@ Rasterizer::renderFrame(const Scene &scene, const Camera &camera,
             framebuffer_ ? framebuffer_ : internal_fb_.get();
         depth_fb->clearDepth();
         // Depth-only pass: establish the front-most surface per pixel.
-        ScopedTrace pass_scope("raster.depth_prepass", "raster");
-        ScopedProfileStage prof_scope("raster.depth_prepass",
-                                      /*with_counters=*/true);
+        Stage pass("raster.depth_prepass", "raster", /*counters=*/true);
         for (size_t idx : visible)
             drawObject(scene.objects()[idx], camera, textures,
                        Pass::DepthOnly, stats);
     }
 
     {
-        ScopedTrace pass_scope("raster.texture_pass", "raster");
-        ScopedProfileStage prof_scope("raster.texture_pass",
-                                      /*with_counters=*/true);
+        Stage pass("raster.texture_pass", "raster", /*counters=*/true);
         for (size_t idx : visible) {
             const SceneObject &obj = scene.objects()[idx];
             drawObject(obj, camera, textures, Pass::Texture, stats);
@@ -67,9 +62,6 @@ Rasterizer::renderFrame(const Scene &scene, const Camera &camera,
     }
 
     sampler_.flushBatch();
-
-    if (ChromeTraceWriter *t = globalTracer())
-        t->recordAggregate("sampler.sample", sampler_.takeSampleNs() / 1000);
 
     stats.texel_accesses = sampler_.accessCount() - access_base;
     return stats;

@@ -3,8 +3,7 @@
 #include <cmath>
 
 #include "geom/vec.hpp"
-#include "obs/profiler.hpp"
-#include "obs/trace_event.hpp"
+#include "obs/stage.hpp"
 
 namespace mltc {
 
@@ -98,21 +97,7 @@ TextureSampler::sampleBilinear(float u, float v, uint32_t m)
 uint32_t
 TextureSampler::sample(float u, float v, float lambda)
 {
-    // The SelfTimer/profiler scopes live only on the observed branch so
-    // their destructors cannot burden the unobserved per-pixel hot
-    // path.
-    if (globalTracer() != nullptr || stageProfiler() != nullptr)
-        [[unlikely]] {
-        SelfTimer timer(&sample_ns_);
-        ScopedProfileStage prof("sampler.sample");
-        return sampleImpl(u, v, lambda);
-    }
-    return sampleImpl(u, v, lambda);
-}
-
-uint32_t
-TextureSampler::sampleImpl(float u, float v, float lambda)
-{
+    Stage stage(HotStage::SamplerSample);
     switch (filter_) {
       case FilterMode::Point: {
         float rounded = std::floor(lambda + 0.5f);

@@ -91,25 +91,9 @@ class TextureSampler
     /** Number of texel references emitted since construction. */
     uint64_t accessCount() const { return accesses_; }
 
-    /**
-     * Harvest (and reset) wall time spent inside sample() while a
-     * global tracer was installed (see SelfTimer) — the sampler's
-     * aggregate self time for stage summaries. Zero while not tracing.
-     */
-    uint64_t
-    takeSampleNs()
-    {
-        const uint64_t ns = sample_ns_;
-        sample_ns_ = 0;
-        return ns;
-    }
-
   private:
     uint32_t samplePoint(float u, float v, uint32_t m);
     uint32_t sampleBilinear(float u, float v, uint32_t m);
-
-    /** sample() body, shared by the traced and untraced branches. */
-    uint32_t sampleImpl(float u, float v, float lambda);
 
     /** Backstop cap; the rasterizer flushes per scanline well below it. */
     static constexpr size_t kBatchCap = 4096;
@@ -128,7 +112,6 @@ class TextureSampler
     bool shading_ = false;
     uint32_t max_level_ = 0;
     uint64_t accesses_ = 0;
-    uint64_t sample_ns_ = 0; ///< SelfTimer accumulator (tracing only)
     std::vector<TexelRef> batch_;
 };
 

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <string>
 
-#include "obs/flight_recorder.hpp"
-#include "obs/profiler.hpp"
+#include "obs/stage.hpp"
 #include "raster/access_sink.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
@@ -71,14 +70,7 @@ MultiConfigRunner::harvestRow(int frame, const FrameStats &fs,
 void
 MultiConfigRunner::publishFrame(const FrameRow &row)
 {
-    if (ChromeTraceWriter *t = globalTracer()) {
-        // Hot-path self time accumulated by SelfTimer inside the access
-        // path, surfaced as a stage aggregate (no timeline event).
-        uint64_t access_ns = 0;
-        for (auto &sim : sims_)
-            access_ns += sim->takeAccessNs();
-        t->recordAggregate("cachesim.access", access_ns / 1000);
-
+    if (ChromeTraceWriter *t = hooks().tracer()) {
         for (size_t i = 0; i < sims_.size(); ++i) {
             const CacheFrameStats &s = row.sims[i];
             const std::string &label = sims_[i]->label();
@@ -435,13 +427,9 @@ quarantineSim(SimQuarantine &q, const Error &err, int frame)
     q.at_frame = frame;
     ++q.failures;
     q.revive_at_frame = -1; // the ladder reschedules from the new failure
-    if (ChromeTraceWriter *t = globalTracer()) {
-        t->instant("sim.quarantined", "runner");
-        // A quarantine often precedes an operator killing the run:
-        // make sure the evidence reaches the file now.
-        t->flush();
-    }
-    flightEvent("sim.quarantined", "resilience", static_cast<double>(frame));
+    event("sim.quarantined", "resilience", static_cast<double>(frame));
+    // A quarantine often precedes an operator killing the run: the dump
+    // also pushes the trace and profile so far to disk.
     flightDump("quarantine");
 }
 
@@ -531,8 +519,7 @@ MultiConfigRunner::reviveQuarantined(const ResilienceConfig &rc, int frame)
                     "' at frame " + std::to_string(frame) + " (failure " +
                     std::to_string(q.failures) + "/" +
                     std::to_string(rc.restart_limit) + ")");
-            if (ChromeTraceWriter *t = globalTracer())
-                t->instant("sim.restarted", "runner");
+            event("sim.restarted", "runner");
         } catch (const Exception &e) {
             // The revival audit failed: count it as another
             // consecutive failure and back off further.
@@ -630,17 +617,12 @@ MultiConfigRunner::runSupervised(const ResilienceConfig &rc,
         if (rc.restart_limit > 0)
             reviveQuarantined(rc, frame);
         {
-            ScopedProfileStage frame_prof("frame");
-            ChromeTraceWriter *t = globalTracer();
-            if (t)
-                t->begin("frame", "frame");
+            Stage frame_stage("frame", "frame");
             const Camera cam = workload_.cameraAtFrame(frame, frames, aspect);
             harvestRow(frame,
                        raster.renderFrame(workload_.scene, cam,
                                           *workload_.textures),
                        cb);
-            if (t)
-                t->end();
         }
 
         // Invariant audits at the frame boundary: a violating simulator

@@ -11,9 +11,7 @@
 #include "core/audit.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/observability.hpp"
-#include "obs/profiler.hpp"
 #include "obs/slo.hpp"
-#include "obs/trace_event.hpp"
 #include "raster/rasterizer.hpp"
 #include "sim/parallel_runner.hpp"
 #include "sim/span_pipe.hpp"
@@ -371,12 +369,9 @@ MultiStreamRunner::quarantineStream(uint32_t index, uint32_t round,
     row.quarantined = 1;
     rows_[index].push_back(row);
 
-    if (ChromeTraceWriter *t = globalTracer())
-        t->instant("stream.quarantined", "resilience");
     // A tenant death is exactly what the flight recorder exists for:
     // mark it in the ring, then land the bundle while we still can.
-    flightEvent("stream.quarantined", "resilience",
-                static_cast<double>(index));
+    event("stream.quarantined", "resilience", static_cast<double>(index));
     flightDump("quarantine");
 }
 
@@ -536,10 +531,8 @@ MultiStreamRunner::evaluateSlo(uint32_t round)
         const SloRule &rule = rules[ev.rule];
         const std::string stream = std::to_string(ev.entity);
         const char *what = ev.firing ? "slo.fired" : "slo.cleared";
-        if (ChromeTraceWriter *t = globalTracer())
-            t->instant(what, "slo",
-                       {{"rule", rule.spec}, {"stream", stream}});
-        flightEvent(what, "slo", ev.value);
+        event(what, "slo", ev.value,
+              {{"rule", rule.spec}, {"stream", stream}});
         char val[32];
         std::snprintf(val, sizeof(val), "%.4g", ev.value);
         const std::string line =
@@ -657,9 +650,8 @@ MultiStreamRunner::runRound(uint32_t round, AuditLevel audit,
             // Drain+harvest samples roll up under the tenant's own
             // "stream:<name>" root (leg work already carries the sweep
             // leg named after the stream).
-            ScopedProfileStage stream_prof(
-                profileInternAnnotation("stream:" + st.name),
-                /*with_counters=*/true);
+            Stage stream_stage(annotate("stream:" + st.name),
+                               /*counters=*/true);
             if (st.leg_error) {
                 // The misses queued before the throw still reach the
                 // L2, as they would have inline.
@@ -739,7 +731,7 @@ MultiStreamRunner::run(const ResilienceConfig &res)
     std::vector<std::unique_ptr<SpanPipe>> pipes;
     for (auto &st : streams_)
         pipes.push_back(std::make_unique<SpanPipe>(
-            *st->sim, pool.get(), profileInternAnnotation("leg:" + st->name)));
+            *st->sim, pool.get(), annotate("leg:" + st->name)));
 
     SupervisedSteps steps;
     steps.count = cfg_.rounds;

@@ -6,7 +6,7 @@
 #include <memory>
 #include <mutex>
 
-#include "obs/profiler.hpp"
+#include "obs/stage.hpp"
 #include "obs/telemetry_server.hpp"
 #include "sim/resilience.hpp"
 #include "util/csv.hpp"
@@ -101,9 +101,7 @@ runOneLeg(const std::function<void(LegContext &)> &body, LegContext &ctx,
         // Every sample taken while this worker runs the leg carries a
         // "leg:<name>" root frame; hardware counters (when available)
         // bracket the whole leg body.
-        ScopedProfileStage leg_prof(
-            profileInternAnnotation("leg:" + ctx.name()),
-            /*with_counters=*/true);
+        Stage leg_stage(annotate("leg:" + ctx.name()), /*counters=*/true);
         body(ctx);
         result.outcome = LegOutcome::Completed;
     } catch (const std::exception &e) {

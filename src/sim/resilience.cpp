@@ -172,8 +172,7 @@ superviseRun(const ResilienceConfig &rc, const SupervisedSteps &steps,
                 steps.save(rc.checkpoint_path, next);
                 backoff = 0;
                 retry_at = 0;
-                if (ChromeTraceWriter *t = globalTracer())
-                    t->instant("checkpoint.saved", "runner");
+                event("checkpoint.saved", "runner");
                 // Crash-path test hook: die *after* the checkpoint
                 // committed, leaving exactly the state a real crash
                 // would (stdio flushed, as a crash after it would find).
@@ -197,7 +196,7 @@ superviseRun(const ResilienceConfig &rc, const SupervisedSteps &steps,
                     auto guard = obs->metrics().updateGuard();
                     obs->metrics().counter("checkpoint.write_failed").inc();
                 }
-                flightEvent("checkpoint.write_failed", "resilience");
+                event("checkpoint.write_failed", "resilience");
             }
         }
 
@@ -214,7 +213,7 @@ superviseRun(const ResilienceConfig &rc, const SupervisedSteps &steps,
     // the one that loses data.
     if (obs)
         obs->flush();
-    else if (ChromeTraceWriter *t = globalTracer())
+    else if (ChromeTraceWriter *t = hooks().tracer())
         t->flush();
 
     RunManifest manifest;

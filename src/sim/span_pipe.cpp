@@ -3,7 +3,7 @@
 #include <limits>
 #include <utility>
 
-#include "obs/profiler.hpp"
+#include "obs/stage.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mltc {
@@ -15,7 +15,7 @@ constexpr uint64_t kAllReady = std::numeric_limits<uint64_t>::max();
 } // namespace
 
 SpanPipe::SpanPipe(TexelAccessSink &sink, ThreadPool *pool,
-                   const char *profile_root)
+                   Annotation profile_root)
     : sink_(sink), pool_(pool), profile_root_(profile_root),
       blocks_(kBlocks)
 {
@@ -97,7 +97,7 @@ SpanPipe::schedule()
     pool_->submit([task = std::move(task), root = profile_root_] {
         // Credit the work to the tenant, not to whichever leg's worker
         // happened to pick it up.
-        ScopedProfileStage prof(root);
+        Stage drain_stage(root);
         task();
     });
 }

@@ -36,6 +36,7 @@
 #include <span>
 #include <vector>
 
+#include "obs/stage.hpp"
 #include "raster/access_sink.hpp"
 
 namespace mltc {
@@ -55,11 +56,11 @@ class SpanPipe final : public TexelAccessSink
     /**
      * Deliver to @p sink (not owned). Drain tasks run on @p pool
      * (borrowed; null runs them inline) under the profile frame
-     * @p profile_root (an interned annotation, may be null); drains the
-     * producer runs itself carry its own profile stack.
+     * @p profile_root (null without a profiler); drains the producer
+     * runs itself carry its own profile stack.
      */
     SpanPipe(TexelAccessSink &sink, ThreadPool *pool,
-             const char *profile_root = nullptr);
+             Annotation profile_root = {});
 
     /**
      * Waits for a drain task still queued on the pool, which finds
@@ -117,7 +118,7 @@ class SpanPipe final : public TexelAccessSink
 
     TexelAccessSink &sink_;
     ThreadPool *const pool_;
-    const char *const profile_root_;
+    const Annotation profile_root_;
     std::vector<Block> blocks_;
     Block *cur_; ///< the block the producer fills
 

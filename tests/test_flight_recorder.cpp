@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <thread>
 #include <unistd.h>
@@ -239,8 +240,8 @@ TEST(FlightRecorder, LaterDumpOverwritesWithFresherState)
 
 TEST(FlightRecorder, GlobalHelpersAreNoOpsWhenAbsent)
 {
-    ASSERT_EQ(flightRecorder(), nullptr);
-    flightEvent("event", "test");
+    ASSERT_EQ(hooks().flight(), nullptr);
+    event("event", "test");
     flightMetric("metric", 1.0);
     flightFrame(3);
     EXPECT_EQ(flightDump("quarantine"), "");
@@ -252,18 +253,44 @@ TEST(FlightRecorder, GlobalHelpersRecordWhenInstalled)
     cfg.workers = 1;
     cfg.capacity = 8;
     FlightRecorder fr(cfg);
-    installFlightRecorder(&fr);
-    flightEvent("stream.quarantined", "resilience", 2.0);
+    installFlightRecorder(&fr); // the spelling perfbench uses
+    event("stream.quarantined", "resilience", 2.0);
     flightMetric("s0.host_bytes", 1024.0);
     flightFrame(7);
     installFlightRecorder(nullptr);
-    flightEvent("after.removal", "test"); // must not land
+    event("after.removal", "test"); // must not land
     const auto events = fr.snapshot();
     ASSERT_EQ(events.size(), 3u);
     EXPECT_STREQ(events[0].name, "stream.quarantined");
     EXPECT_EQ(events[1].kind, FlightEvent::Metric);
     EXPECT_EQ(events[2].kind, FlightEvent::Frame);
     EXPECT_DOUBLE_EQ(events[2].value, 7.0);
+}
+
+TEST(FlightRecorder, RebuiltRecorderAtSameAddressStartsFreshRings)
+{
+    // A thread's ring index belongs to one recorder instance: a 1-ring
+    // recorder built where an 8-ring one lived must not be indexed
+    // with the ring the thread drew from the old one.
+    alignas(FlightRecorder) unsigned char buf[sizeof(FlightRecorder)];
+    FlightRecorder::Config eight;
+    eight.workers = 8;
+    eight.capacity = 4;
+    FlightRecorder *fr = new (buf) FlightRecorder(eight);
+    for (int i = 0; i < 7; ++i) // rings 0..6 go to other threads
+        std::thread([fr] { fr->record("filler", "test"); }).join();
+    fr->record("ring7", "test"); // this thread draws ring 7
+    ASSERT_EQ(fr->snapshot().size(), 8u);
+    fr->~FlightRecorder();
+
+    FlightRecorder::Config one = eight;
+    one.workers = 1;
+    fr = new (buf) FlightRecorder(one);
+    fr->record("after.rebuild", "test");
+    const auto events = fr->snapshot();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_STREQ(events[0].name, "after.rebuild");
+    fr->~FlightRecorder();
 }
 
 } // namespace

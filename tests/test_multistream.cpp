@@ -23,6 +23,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -34,6 +35,7 @@
 #include "core/audit.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/reuse_profiler.hpp"
+#include "obs/trace_event.hpp"
 #include "sim/animation_driver.hpp"
 #include "sim/multi_stream_runner.hpp"
 #include "texture/procedural.hpp"
@@ -633,9 +635,9 @@ TEST(MultiStream, RoundPhaseTimesGoToTheFlightRecorder)
                   spec(kThrasherWorkload, FilterMode::Bilinear)};
     MultiStreamRunner runner(ms);
     FlightRecorder recorder(FlightRecorder::Config{});
-    installFlightRecorder(&recorder);
+    hooks().install(&recorder);
     runner.run({});
-    installFlightRecorder(nullptr);
+    hooks().uninstall(&recorder);
     int legs = 0, drains = 0;
     for (const FlightEvent &e : recorder.snapshot()) {
         const std::string name = e.name;
@@ -647,6 +649,35 @@ TEST(MultiStream, RoundPhaseTimesGoToTheFlightRecorder)
     }
     EXPECT_EQ(legs, 3);
     EXPECT_EQ(drains, 3);
+}
+
+TEST(MultiStream, TracedRunReportsHotStageTimes)
+{
+    // The hot stages run on the tenants' legs and pipe drains: their
+    // per-thread sums must reach the stage table of a stream run.
+    MultiStreamConfig ms = base(L2SharePolicy::Utility);
+    ms.rounds = 3;
+    ms.jobs = 2;
+    ms.streams = {spec("village", FilterMode::Bilinear),
+                  spec(kThrasherWorkload, FilterMode::Bilinear)};
+    MultiStreamRunner runner(ms);
+    const std::string path =
+        testing::TempDir() + "stream_stages." + std::to_string(getpid());
+    ChromeTraceWriter tracer(path);
+    hooks().install(&tracer);
+    runner.run({});
+    hooks().uninstall(&tracer);
+    tracer.close();
+    std::map<std::string, StageStat> rows;
+    for (const StageStat &s : tracer.stageStats())
+        rows[s.name] = s;
+    for (const char *name : {"cachesim.access", "sampler.sample"}) {
+        ASSERT_TRUE(rows.count(name)) << name;
+        EXPECT_GT(rows[name].count, 0u) << name;
+        EXPECT_GT(rows[name].total_us, 0u) << name;
+        EXPECT_EQ(rows[name].self_us, rows[name].total_us) << name;
+    }
+    std::remove(path.c_str());
 }
 
 /** One checker texture and a Utility L2 shared by a single tenant. */

@@ -3,12 +3,14 @@
  * Unit tests for the observability layer: metric key canonicalization,
  * the enabled/disabled metrics registry, per-frame JSONL snapshots, the
  * Chrome trace writer (schema-checked by re-parsing its own output),
- * the global-tracer hooks (ScopedTrace / SelfTimer), the shared CLI
- * flags, and checkpoint/resume bit-equivalence of a CacheSim running
+ * the hook registry as Observability and Stage drive it, the shared CLI
+ * flags, Observability's flight path, and checkpoint/resume
+ * bit-equivalence of a CacheSim running
  * with 3C classification enabled.
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <unistd.h>
@@ -18,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "obs/observability.hpp"
 #include "obs/trace_event.hpp"
+#include "sim/multi_stream_runner.hpp"
 #include "texture/procedural.hpp"
 #include "texture/texture_manager.hpp"
 #include "util/error.hpp"
@@ -157,6 +160,9 @@ TEST(MetricsRegistry, WritesFrameSnapshotsToSink)
     std::remove(path.c_str());
 }
 
+/** checkTraceSchema() count that is not checked. */
+constexpr size_t kAnyCount = SIZE_MAX;
+
 /** Re-parse a trace file and verify the Chrome trace-event schema. */
 void
 checkTraceSchema(const std::string &path, size_t expect_durations,
@@ -199,7 +205,9 @@ checkTraceSchema(const std::string &path, size_t expect_durations,
     EXPECT_EQ(opens, 0u) << "unbalanced B/E pairs";
     EXPECT_EQ(durations, expect_durations);
     EXPECT_EQ(counters, expect_counters);
-    EXPECT_EQ(instants, expect_instants);
+    if (expect_instants != kAnyCount) {
+        EXPECT_EQ(instants, expect_instants);
+    }
 }
 
 TEST(ChromeTraceWriter, EmitsValidChromeTrace)
@@ -244,7 +252,7 @@ TEST(ChromeTraceWriter, StageStatsAggregateSelfTime)
     t.end();
     t.begin("inner", "test");
     t.end();
-    t.recordAggregate("cachesim.access", 1500);
+    t.addHot(HotStage::CacheSimAccess, 1500000);
     t.close();
 
     const auto stats = t.stageStats();
@@ -275,36 +283,31 @@ TEST(ChromeTraceWriter, StageStatsAggregateSelfTime)
     std::remove(path.c_str());
 }
 
-TEST(GlobalTracer, ScopedTraceAndSelfTimerAreInertWithoutTracer)
-{
-    ASSERT_EQ(globalTracer(), nullptr);
-    { ScopedTrace scope("nothing", "test"); } // must not crash
-    uint64_t accum = 0;
-    { SelfTimer timer(&accum); }
-    EXPECT_EQ(accum, 0u); // no tracer -> no timing, not even a read
-}
-
 TEST(GlobalTracer, HooksFeedInstalledTracer)
 {
     const std::string path = tempPath("trace_hooks.json");
+    std::vector<StageStat> stats;
     {
         ChromeTraceWriter t(path);
-        setGlobalTracer(&t);
-        { ScopedTrace scope("hooked", "test"); }
-        uint64_t accum = 0;
+        hooks().install(&t);
+        { Stage scope("hooked", "test"); }
         {
-            SelfTimer timer(&accum);
+            Stage hot(HotStage::CacheSimAccess);
             // A little real work so steady_clock can tick.
             volatile uint64_t sink = 0;
             for (uint64_t i = 0; i < 50000; ++i)
                 sink = sink + i;
         }
-        t.recordAggregate("hook.accum", accum / 1000);
-        setGlobalTracer(nullptr);
+        hooks().uninstall(&t);
         t.close();
+        stats = t.stageStats();
     }
-    ASSERT_EQ(globalTracer(), nullptr);
+    ASSERT_EQ(hooks().tracer(), nullptr);
+    // The hot stage reaches the stage table but not the timeline.
     checkTraceSchema(path, 1, 0, 0);
+    ASSERT_EQ(stats.size(), 2u);
+    for (const StageStat &s : stats)
+        EXPECT_EQ(s.count, 1u) << s.name;
     std::remove(path.c_str());
 }
 
@@ -334,12 +337,12 @@ TEST(Observability, OwnsSinksAndGlobalTracer)
         Observability obs(cfg);
         EXPECT_TRUE(obs.metrics().enabled());
         ASSERT_NE(obs.trace(), nullptr);
-        EXPECT_EQ(globalTracer(), obs.trace());
+        EXPECT_EQ(hooks().tracer(), obs.trace());
         ASSERT_NE(obs.metricsSink(), nullptr);
         obs.metrics().counter("x").inc();
         obs.metrics().writeFrameSnapshot(*obs.metricsSink(), 0);
         obs.close();
-        EXPECT_EQ(globalTracer(), nullptr);
+        EXPECT_EQ(hooks().tracer(), nullptr);
     }
     const JsonValue row = parseJson(fileText(cfg.metrics_path));
     EXPECT_DOUBLE_EQ(row.at("counters").at("x").asNumber(), 1.0);
@@ -460,14 +463,102 @@ TEST(Observability, SnapshotWithClassifierRejectedByPlainSim)
 
 TEST(Observability, NoTracerMeansNoAccessTiming)
 {
-    ASSERT_EQ(globalTracer(), nullptr);
+    ASSERT_EQ(hooks().tracer(), nullptr);
     TextureManager tm;
     tm.load("tex", MipPyramid(makeChecker(256, 8, 0xff0000ffu,
                                           0xffffffffu)));
     CacheSim sim(tm, CacheSimConfig::twoLevel(2 * 1024, 64 * 1024));
+    // A writer that is not installed sees none of the access path.
+    const std::string path = tempPath("uninstalled.json");
+    ChromeTraceWriter t(path);
     driveFrames(sim, 0, 1);
-    // Without a tracer the SelfTimer hook must not even read the clock.
-    EXPECT_EQ(sim.takeAccessNs(), 0u);
+    t.close();
+    EXPECT_TRUE(t.stageStats().empty());
+    std::remove(path.c_str());
+}
+
+TEST(Observability, FlightOutInstallsRecorderUntilClose)
+{
+    ObsConfig cfg;
+    cfg.flight_out = tempPath("obs_flight");
+    Observability obs(cfg);
+    ASSERT_NE(obs.flight(), nullptr);
+    EXPECT_EQ(hooks().flight(), obs.flight());
+    // A recorder alone must leave every Stage unobserved.
+    EXPECT_FALSE(hooks().timed());
+    obs.close();
+    EXPECT_EQ(hooks().flight(), nullptr);
+}
+
+TEST(Observability, QuarantineLeavesSchemaValidFlightBundle)
+{
+    ObsConfig cfg;
+    cfg.flight_out = tempPath("obs_quarantine");
+    Observability obs(cfg);
+    MultiStreamConfig ms;
+    ms.width = 64;
+    ms.height = 48;
+    ms.rounds = 3;
+    ms.l1_bytes = 4ull << 10;
+    ms.l2_bytes = 256ull << 10;
+    ms.jobs = 1;
+    StreamSpec healthy;
+    StreamSpec failing;
+    failing.fail_at_round = 1;
+    ms.streams = {healthy, failing};
+    MultiStreamRunner runner(ms);
+    runner.setObservability(&obs);
+    const RunManifest manifest = runner.run({});
+    EXPECT_EQ(manifest.quarantinedCount(), 1u);
+    obs.close();
+
+    const std::string dir = cfg.flight_out + ".flight";
+    checkTraceSchema(dir + "/trace.json", 0, 0, kAnyCount);
+    bool saw_quarantine = false;
+    std::string reason;
+    const JsonValue doc = parseJson(fileText(dir + "/trace.json"));
+    for (const JsonValue &ev : doc.at("traceEvents").asArray()) {
+        const std::string &name = ev.at("name").asString();
+        saw_quarantine |= name == "stream.quarantined";
+        if (name == "flight.dumped")
+            reason = ev.at("args").at("reason").asString();
+    }
+    EXPECT_TRUE(saw_quarantine);
+    EXPECT_EQ(reason, "quarantine");
+    std::remove((dir + "/trace.json").c_str());
+    std::remove((dir + "/metrics.jsonl").c_str());
+    ::rmdir(dir.c_str());
+}
+
+TEST(Observability, WithoutProcessHooksInstallsNoBackend)
+{
+    ObsConfig cfg;
+    cfg.trace_path = tempPath("nohooks_trace.json");
+    cfg.profile_out = tempPath("nohooks_prof");
+    cfg.flight_out = tempPath("nohooks_flight");
+    Observability obs(cfg, /*install_process_hooks=*/false);
+    ASSERT_NE(obs.trace(), nullptr);
+    ASSERT_NE(obs.profiler(), nullptr);
+    ASSERT_NE(obs.flight(), nullptr);
+    EXPECT_EQ(hooks().tracer(), nullptr);
+    EXPECT_EQ(hooks().profiler(), nullptr);
+    EXPECT_EQ(hooks().flight(), nullptr);
+    EXPECT_FALSE(hooks().timed());
+    obs.close();
+    std::remove(cfg.trace_path.c_str());
+
+    // Nor does tearing one down remove what the process installed (a
+    // sweep leg's bundle beside the driver's shared tracer).
+    FlightRecorder outer(FlightRecorder::Config{});
+    hooks().install(&outer);
+    {
+        Observability leg(ObsConfig{}, /*install_process_hooks=*/false);
+        leg.close();
+    }
+    EXPECT_EQ(hooks().flight(), &outer);
+    hooks().uninstall(&outer);
+    std::remove((cfg.profile_out + ".folded").c_str());
+    std::remove((cfg.profile_out + ".json").c_str());
 }
 
 } // namespace

@@ -5,7 +5,7 @@
  * ordering), loadFolded's self/total aggregation and corruption
  * handling, the differential profile (threshold semantics, one-sided
  * stages, noise suppression), a real sampling capture through the
- * installed ScopedProfileStage hooks, the mandatory perf_event_open
+ * Stage scopes against an installed profiler, the mandatory perf_event_open
  * fallback under a denied syscall, annotation interning, and the
  * flight-dump flush of profiler buffers.
  */
@@ -222,15 +222,15 @@ TEST(Profiler, CapturesAnnotatedStacks)
     pc.counters = false;
     pc.out_prefix = tempPath("cap");
     StageProfiler profiler(pc);
-    installStageProfiler(&profiler);
+    hooks().install(&profiler);
     {
         // Hold the stack across real time so the sampler must see it;
         // the inner frame name exercises writer-side escaping.
-        ScopedProfileStage outer("stage.outer");
-        ScopedProfileStage inner("weird;stage");
+        Stage outer("stage.outer", "test");
+        Stage inner(Annotation{"weird;stage"});
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
     }
-    installStageProfiler(nullptr);
+    hooks().uninstall(&profiler);
     profiler.stopSampler();
     EXPECT_GT(profiler.sampleCount(), 0u);
     EXPECT_EQ(profiler.droppedSamples(), 0u);
@@ -270,14 +270,14 @@ TEST(Profiler, ForcedCounterFallbackIsGraceful)
     // The mandatory degradation proof: when perf_event_open is denied
     // (forced here so the test passes on machines where it is allowed),
     // profiling continues, readCounters reports failure exactly once
-    // per ScopedProfileStage bracket, and the registry gauge flips.
+    // per counter-bracketed Stage, and the registry gauge flips.
     MetricsRegistry registry(true);
     ProfilerConfig pc;
     pc.hz = 1000;
     pc.force_counters_unavailable = true;
     pc.registry = &registry;
     StageProfiler profiler(pc);
-    installStageProfiler(&profiler);
+    hooks().install(&profiler);
     EXPECT_TRUE(profiler.countersUnavailable());
     EXPECT_EQ(registry.gaugeValue("profile.counters_unavailable"), 1.0);
 
@@ -285,11 +285,10 @@ TEST(Profiler, ForcedCounterFallbackIsGraceful)
     EXPECT_FALSE(profiler.readCounters(vals));
     {
         // A counter-bracketed scope must still sample fine.
-        ScopedProfileStage leg(profiler.intern("leg:fallback"),
-                               /*with_counters=*/true);
+        Stage leg(annotate("leg:fallback"), /*counters=*/true);
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
-    installStageProfiler(nullptr);
+    hooks().uninstall(&profiler);
     profiler.stopSampler();
 
     const JsonValue root = parseJson(profiler.liveJson());
@@ -326,10 +325,10 @@ TEST(Profiler, InternIsStableAndOrdered)
 
 TEST(Profiler, GlobalInternWithoutProfilerIsNull)
 {
-    ASSERT_EQ(stageProfiler(), nullptr);
-    EXPECT_EQ(profileInternAnnotation("leg:none"), nullptr);
-    // And a null name makes the scope a no-op rather than a crash.
-    ScopedProfileStage scope(nullptr, /*with_counters=*/true);
+    ASSERT_EQ(hooks().profiler(), nullptr);
+    EXPECT_EQ(annotate("leg:none").name, nullptr);
+    // And a null annotation makes the scope a no-op rather than a crash.
+    Stage scope(Annotation{}, /*counters=*/true);
 }
 
 TEST(Profiler, FlightDumpFlushesProfile)
@@ -340,13 +339,13 @@ TEST(Profiler, FlightDumpFlushesProfile)
     pc.hz = 10000;
     pc.out_prefix = tempPath("flight_prof");
     StageProfiler profiler(pc);
-    installStageProfiler(&profiler);
+    hooks().install(&profiler);
     {
-        ScopedProfileStage stage("pre.dump");
+        Stage stage("pre.dump", "test");
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
         flightDump("test-trigger");
     }
-    installStageProfiler(nullptr);
+    hooks().uninstall(&profiler);
     profiler.stopSampler();
 
     std::ifstream folded(pc.out_prefix + ".folded");

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 #include <unistd.h>
@@ -108,6 +109,58 @@ TEST(MetricsSummary, RenderListsCountersAndGauges)
     EXPECT_NE(text.find("4096"), std::string::npos) << text;
     EXPECT_NE(text.find("hit_rate"), std::string::npos) << text;
     EXPECT_NE(text.find("0.2500"), std::string::npos) << text;
+}
+
+MetricsSummary
+summaryOf(const char *jsonl)
+{
+    std::istringstream in(jsonl);
+    return summarizeMetricsStream(in);
+}
+
+TEST(MetricsDiff, OneSidedSeriesIsFullScale)
+{
+    const MetricsSummary a = summaryOf(
+        "{\"frame\":0,\"counters\":{\"hits\":10,\"old\":1},"
+        "\"gauges\":{\"rate\":0.5}}\n");
+    const MetricsSummary b = summaryOf(
+        "{\"frame\":0,\"counters\":{\"hits\":8,\"new\":2},"
+        "\"gauges\":{\"rate\":0.5}}\n");
+    const MetricsDiff d = diffMetricsSummaries(a, b);
+    EXPECT_EQ(d.only_a, 1u);
+    EXPECT_EQ(d.only_b, 1u);
+    EXPECT_DOUBLE_EQ(d.max_rel, 1.0);
+    std::map<std::string, double> rel;
+    for (const MetricsDiffRow &row : d.rows)
+        rel[row.key] = row.rel;
+    EXPECT_DOUBLE_EQ(rel.at("old"), 1.0);
+    EXPECT_DOUBLE_EQ(rel.at("new"), 1.0);
+    EXPECT_DOUBLE_EQ(rel.at("hits"), 0.2); // |8-10| / 10
+    EXPECT_DOUBLE_EQ(rel.at("mean:rate"), 0.0);
+    const std::string text = renderMetricsDiff(d);
+    EXPECT_NE(text.find("1 series only in A, 1 only in B"),
+              std::string::npos)
+        << text;
+}
+
+TEST(MetricsDiff, DeltaIsSymmetric)
+{
+    const MetricsSummary a = summaryOf(
+        "{\"frame\":0,\"counters\":{\"hits\":3,\"only\":4}}\n");
+    const MetricsSummary b = summaryOf(
+        "{\"frame\":0,\"counters\":{\"hits\":12}}\n");
+    const MetricsDiff ab = diffMetricsSummaries(a, b);
+    const MetricsDiff ba = diffMetricsSummaries(b, a);
+    EXPECT_DOUBLE_EQ(ab.max_rel, ba.max_rel);
+    EXPECT_EQ(ab.only_a, ba.only_b);
+    EXPECT_EQ(ab.only_b, ba.only_a);
+    std::map<std::string, double> rel_ab, rel_ba;
+    for (const MetricsDiffRow &row : ab.rows)
+        rel_ab[row.key] = row.rel;
+    for (const MetricsDiffRow &row : ba.rows)
+        rel_ba[row.key] = row.rel;
+    EXPECT_EQ(rel_ab, rel_ba);
+    EXPECT_DOUBLE_EQ(rel_ab.at("hits"), 0.75);
 }
 
 } // namespace
