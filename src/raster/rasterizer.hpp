@@ -7,8 +7,9 @@
  * clipping, perspective projection, and *scanline-order* rasterization
  * (the paper explicitly studies scanline rather than tiled order, §2.3)
  * with per-pixel MIP LOD selection from exact screen-space derivatives.
- * Every textured pixel drives the TextureSampler, which emits the texel
- * access stream the cache simulators consume.
+ * Each scanline span of a triangle goes to the TextureSampler in one
+ * call (span_kernel.hpp), which emits the texel access stream the cache
+ * simulators consume.
  *
  * By default every rasterized pixel is textured regardless of occlusion
  * (texturing-before-z, as 1998 pipelines did) — this is what gives the
@@ -110,9 +111,8 @@ class Rasterizer
 
     int width_;
     int height_;
-    float tex_width_ = 0.0f;  ///< base-level texture width (LOD scaling)
-    float tex_height_ = 0.0f;
     TextureSampler sampler_;
+    SpanScratch span_; ///< one span's per-pixel attributes
     Framebuffer *framebuffer_ = nullptr;
     std::unique_ptr<Framebuffer> internal_fb_; ///< for z-prepass w/o fb
     bool z_prepass_ = false;

@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "raster/sampler.hpp"
@@ -17,7 +18,7 @@ namespace {
 class RecordingSink final : public TexelAccessSink
 {
   public:
-    void bindTexture(TextureId tid) override { this->tid = tid; }
+    void bindTexture(TextureId bound) override { tid = bound; }
 
     /** A quad records its four texels; pixel markers are skipped. */
     void
@@ -153,6 +154,38 @@ TEST_F(SamplerTest, NegativeLambdaClampsToBase)
     sampler.setFilter(FilterMode::Point);
     sampler.sample(0.1f, 0.1f, -5.0f);
     EXPECT_EQ(records()[0].mip, 0u);
+}
+
+// Out-of-range LODs clamp before the level cast: +inf (and any huge
+// finite lambda) picks the coarsest level, NaN behaves like lambda <= 0.
+TEST_F(SamplerTest, InfiniteLambdaPicksCoarsestLevel)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    for (FilterMode mode : {FilterMode::Point, FilterMode::Bilinear,
+                            FilterMode::Trilinear}) {
+        sampler.setFilter(mode);
+        sampler.sample(0.5f, 0.5f, inf);
+        sampler.sample(0.5f, 0.5f, 1e10f);
+    }
+    // Point: 1 + 1; bilinear: 4 + 4; trilinear, both levels clamped to
+    // one probe: 4 + 4.
+    ASSERT_EQ(records().size(), 18u);
+    for (const auto &r : records())
+        EXPECT_EQ(r.mip, 6u);
+}
+
+TEST_F(SamplerTest, NanLambdaBehavesLikeMagnification)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    sampler.setFilter(FilterMode::Point);
+    sampler.sample(0.5f, 0.5f, nan);
+    sampler.setFilter(FilterMode::Bilinear);
+    sampler.sample(0.5f, 0.5f, nan);
+    sampler.setFilter(FilterMode::Trilinear);
+    sampler.sample(0.5f, 0.5f, nan); // one bilinear probe of the base
+    ASSERT_EQ(records().size(), 9u);
+    for (const auto &r : records())
+        EXPECT_EQ(r.mip, 0u);
 }
 
 TEST_F(SamplerTest, UvWrapsOutsideUnitSquare)
