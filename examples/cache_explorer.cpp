@@ -115,16 +115,6 @@ namespace {
 
 using namespace mltc;
 
-FilterMode
-parseFilter(const std::string &name)
-{
-    if (name == "point")
-        return FilterMode::Point;
-    if (name == "bilinear")
-        return FilterMode::Bilinear;
-    return FilterMode::Trilinear;
-}
-
 /** One swept configuration. */
 struct Candidate
 {
@@ -225,7 +215,7 @@ multiStreamFromCli(const CommandLine &cli)
         spec.filter = (i % 2 == 0) ? FilterMode::Bilinear
                                    : FilterMode::Trilinear;
         if (cli.has("filter"))
-            spec.filter = parseFilter(cli.getString("filter", "bilinear"));
+            spec.filter = parseFilterMode(cli.getString("filter", "bilinear"));
         spec.phase = static_cast<uint32_t>(i * 7);
         spec.seed = i;
         if (fail_stream >= 0 && static_cast<unsigned long>(fail_stream) == i)
@@ -358,7 +348,7 @@ main(int argc, char **argv)
     installCancellationHandlers();
 
     DriverConfig cfg;
-    cfg.filter = parseFilter(cli.getString("filter", "trilinear"));
+    cfg.filter = parseFilterMode(cli.getString("filter", "trilinear"));
     cfg.frames = frames;
 
     const ObsConfig obs_cfg = obsFromCli(cli);

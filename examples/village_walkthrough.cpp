@@ -22,20 +22,6 @@
 #include "util/table.hpp"
 #include "workload/village.hpp"
 
-namespace {
-
-mltc::FilterMode
-parseFilter(const std::string &name)
-{
-    if (name == "point")
-        return mltc::FilterMode::Point;
-    if (name == "bilinear")
-        return mltc::FilterMode::Bilinear;
-    return mltc::FilterMode::Trilinear;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -53,7 +39,7 @@ main(int argc, char **argv)
                     .c_str());
 
     DriverConfig cfg;
-    cfg.filter = parseFilter(cli.getString("filter", "trilinear"));
+    cfg.filter = parseFilterMode(cli.getString("filter", "trilinear"));
     cfg.frames = frames;
 
     MultiConfigRunner runner(wl, cfg);

@@ -1,81 +1,24 @@
 /**
  * @file
- * SIMD staging kernel for the batched access path (runtime-dispatched).
+ * Compatibility shim for the retired vector staging kernel.
  *
- * CacheSim::batchImpl() stages a TexelRef span into compacted
- * coalescing-filter survivors before probing the L1 tag planes. That
- * staging — field extraction from the AoS TexelRef stream, the tile
- * shift, the "same tile as predecessor" filter and the survivor
- * compaction — is data-parallel, so on machines with AVX-512F it runs
- * 16 refs per step in one vector kernel. The kernel is semantically
- * identical to the scalar staging loop: it produces the same survivor
- * sequence, the same filter carry, and the same access count, so the
- * probe phase downstream cannot tell which one ran (the differential
- * suite in tests/test_batch_equivalence.cpp pins this down by running
- * both).
- *
- * The kernel lives in its own translation unit built for the baseline
- * ISA; the AVX-512 body carries a function-level target attribute and
- * is only ever called behind a __builtin_cpu_supports("avx512f") check
- * (resolveStageRun() returns nullptr elsewhere, and the scalar loop is
- * the permanent fallback). Setting MLTC_BATCH_SIMD=0/false/off in the
- * environment forces the scalar path, which is how the equivalence
- * tests difference the two kernels on the same machine.
+ * CacheSim::batchImpl() stages every span with one portable scalar
+ * loop (docs/batched_access.md). The perfbench driver still reports an
+ * "avx512_staging" field in its provenance JSON by calling
+ * resolveStageRun(); this header exists only to keep that field
+ * compiling, and the answer is always "no kernel".
  */
 #ifndef MLTC_CORE_BATCH_STAGE_HPP
 #define MLTC_CORE_BATCH_STAGE_HPP
 
-#include <cstddef>
-#include <cstdint>
-
-#include "raster/access_sink.hpp"
-
 namespace mltc::detail {
 
-/** Refs per vector step; runs shorter than this stage scalar. */
-inline constexpr size_t kStageGroup = 16;
-
-/**
- * Coalescing-filter carry across staging calls: the tile coordinates
- * and MIP level of the last staged texel (the components of CacheSim's
- * last_tile_, kept unpacked while a batch is in flight).
- */
-struct BatchStageCarry
+/** The vector staging kernel in use: always none (nullptr). */
+inline const void *
+resolveStageRun()
 {
-    uint32_t ptx;
-    uint32_t pty;
-    uint32_t pm;
-};
-
-/** What one staging call consumed. */
-struct StageResult
-{
-    uint32_t refs = 0;   ///< TexelRefs consumed from the span
-    uint32_t texels = 0; ///< texel references among them (for counters)
-};
-
-/**
- * Stage up to @p n leading refs of a span: texel refs are filtered
- * against the carry and survivors appended (coordinates, tile
- * coordinates and MIP, all zero-extended to 32 bits) at @p ns, which
- * is advanced in place. Pixel markers (and unknown kinds, which the
- * scalar path also treats as markers) are consumed and ignored; a
- * quad stops the run before its group so the scalar staging loop can
- * expand it. Consumes whole groups of kStageGroup refs only and stops
- * while @p ns has less than kStageGroup slots below @p cap.
- */
-using StageRunFn = StageResult (*)(const TexelRef *refs, size_t n,
-                                   uint32_t shift, BatchStageCarry &carry,
-                                   uint32_t *sxs, uint32_t *sys,
-                                   uint32_t *stx, uint32_t *sty,
-                                   uint32_t *sms, size_t &ns, size_t cap);
-
-/**
- * The staging kernel for this machine: the AVX-512F kernel when the
- * CPU supports it and MLTC_BATCH_SIMD does not veto it, else nullptr
- * (callers keep their scalar staging loop).
- */
-StageRunFn resolveStageRun();
+    return nullptr;
+}
 
 } // namespace mltc::detail
 

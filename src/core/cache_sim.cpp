@@ -63,7 +63,6 @@ CacheSim::CacheSim(TextureManager &textures, const CacheSimConfig &config,
             l2_class_ = std::make_unique<MissClassifier>(cfg_.l2.blocks());
     }
     l1_shift_ = log2u(cfg_.l1.l1_tile);
-    stage_run_ = detail::resolveStageRun();
 }
 
 void
@@ -120,7 +119,6 @@ CacheSim::bindTexture(TextureId tid)
         l1_tid_hi_ = static_cast<uint64_t>(tid) << 32;
         l1_sub_bits_ = 2 * log2u(per_edge);
         l1_sub_mask_ = (1u << l1_sub_bits_) - 1;
-        l1_fast_key_ = l1_spec.morton;
     }
     if (l2p_) {
         TileSpec l2_spec{cfg_.l2.l2_tile, cfg_.l2.l1_tile};
@@ -191,15 +189,11 @@ CacheSim::batchImpl(std::span<const TexelRef> refs)
     //      (handleTexel's one-entry filter: after any serviced texel
     //      last_tile_ is exactly its tile, so "equals predecessor" is
     //      the same predicate) — and compact the survivors into SoA
-    //      arrays. Runs of plain texel refs go through the AVX-512
-    //      kernel (batch_stage.cpp) 16 at a time when the machine has
-    //      one; quads, markers, short runs and non-AVX-512 machines
-    //      use the scalar corner loop below. Both stagings produce the
-    //      same survivors and the same filter carry by contract. The
-    //      access count folds into one frame-counter update per chunk;
+    //      arrays. The access count folds into one frame-counter
+    //      update per chunk;
     //   2. run the fused <tid, L2blk, L1blk> translation over the
-    //      survivors (one Morton interleave each, see l1_fast_key_ in
-    //      cache_sim.hpp);
+    //      survivors (one Morton interleave each, see l1_level_base_
+    //      in cache_sim.hpp);
     //   3. probe the L1 tag planes over the survivor run with
     //      lookupRun() — bookkeeping-identical to per-texel lookup()
     //      calls — and drop each miss out to the per-texel slow path
@@ -230,7 +224,6 @@ CacheSim::batchImpl(std::span<const TexelRef> refs)
     const uint32_t *lb = l1_level_base_;
     const uint64_t hi = l1_tid_hi_;
     const uint32_t sb = l1_sub_bits_, smask = l1_sub_mask_;
-    const bool fast_key = l1_fast_key_;
     size_t i = 0;
     while (i < refs.size()) {
         size_t ns = 0;
@@ -251,34 +244,8 @@ CacheSim::batchImpl(std::span<const TexelRef> refs)
             sms[ns] = mip;
             ++ns;
         };
-        // A vector-kernel step needs a full group of refs starting and
-        // ending on a texel (quads inside make it bail to scalar: the
-        // rearm-on-quad flag below keeps that bail from re-probing the
-        // same group per ref). The scalar loop stages everything else
-        // and hands texel runs back to the kernel.
-        bool simd = stage_run_ != nullptr;
-        for (;;) {
-            if (simd && i + detail::kStageGroup <= refs.size() &&
-                ns + detail::kStageGroup <= kChunk &&
-                refs[i].kind == TexelRef::kTexel &&
-                refs[i + detail::kStageGroup - 1].kind ==
-                    TexelRef::kTexel) {
-                detail::BatchStageCarry c{ptx, pty, pm};
-                const detail::StageResult run =
-                    stage_run_(refs.data() + i, refs.size() - i, sh, c,
-                               sxs, sys, stx, sty, sms, ns, kChunk);
-                if (run.refs != 0) {
-                    i += run.refs;
-                    acc += run.texels;
-                    ptx = c.ptx;
-                    pty = c.pty;
-                    pm = c.pm;
-                    continue;
-                }
-                simd = false; // quad in the first group: stage scalar
-            }
-            if (i >= refs.size() || ns + 4 > kChunk)
-                break;
+        // Stage while the chunk has room for a quad's four corners.
+        while (i < refs.size() && ns + 4 <= kChunk) {
             const TexelRef &r = refs[i++];
             if (r.kind == TexelRef::kTexel) {
                 ++acc;
@@ -295,7 +262,6 @@ CacheSim::batchImpl(std::span<const TexelRef> refs)
                     if (dx)
                         corner(r.x1, r.y1, r.mip);
                 }
-                simd = stage_run_ != nullptr; // group boundary passed
             }
             // Pixel markers carry no texel work; without a profiler
             // attached (checked above) they are no-ops.
@@ -304,19 +270,12 @@ CacheSim::batchImpl(std::span<const TexelRef> refs)
         if (ns == 0)
             continue;
 
-        if (fast_key) [[likely]] {
-            for (size_t s = 0; s < ns; ++s) {
-                const uint32_t code = mortonInterleave(stx[s], sty[s]);
-                skeys[s] =
-                    hi |
-                    (static_cast<uint64_t>(lb[sms[s]] + (code >> sb))
-                     << 8) |
-                    (code & smask);
-            }
-        } else {
-            for (size_t s = 0; s < ns; ++s)
-                skeys[s] =
-                    l1_layout_->blockKeyOf(bound_, sxs[s], sys[s], sms[s]);
+        for (size_t s = 0; s < ns; ++s) {
+            const uint32_t code = mortonInterleave(stx[s], sty[s]);
+            skeys[s] = hi |
+                       (static_cast<uint64_t>(lb[sms[s]] + (code >> sb))
+                        << 8) |
+                       (code & smask);
         }
 
         size_t p = 0;

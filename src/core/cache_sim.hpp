@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "core/batch_stage.hpp"
 #include "core/l1_cache.hpp"
 #include "core/l2_cache.hpp"
 #include "core/texture_tlb.hpp"
@@ -460,16 +459,11 @@ class CacheSim final : public TexelAccessSink
     // because the low 2*log2(l2_tile/l1_tile) interleaved bits are
     // exactly the Morton L1 sub-block number (bit-homomorphism of the
     // interleave over the tile/sub-tile split). Cached per bind;
-    // l1_fast_key_ gates the identity on the layout being Morton.
+    // bindTexture() always builds the L1 layout Morton-numbered.
     const uint32_t *l1_level_base_ = nullptr; ///< per-mip L2 block base
     uint64_t l1_tid_hi_ = 0;                  ///< bound_ << 32
     uint32_t l1_sub_bits_ = 4;  ///< 2*log2(l2_tile/l1_tile)
     uint32_t l1_sub_mask_ = 15; ///< (1 << l1_sub_bits_) - 1
-    bool l1_fast_key_ = false;  ///< layout is Morton: identity valid
-
-    /// SIMD staging kernel for batchImpl(), resolved once at
-    /// construction (nullptr = scalar staging; see batch_stage.hpp).
-    detail::StageRunFn stage_run_ = nullptr;
 
     CacheFrameStats frame_; ///< counters for the current frame
     CacheFrameStats totals_;

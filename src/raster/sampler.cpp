@@ -5,6 +5,7 @@
 
 #include "geom/vec.hpp"
 #include "obs/stage.hpp"
+#include "util/error.hpp"
 
 namespace mltc {
 
@@ -34,6 +35,18 @@ filterModeName(FilterMode mode)
       case FilterMode::Trilinear: return "trilinear";
     }
     return "?";
+}
+
+FilterMode
+parseFilterMode(const std::string &name)
+{
+    for (FilterMode mode : {FilterMode::Point, FilterMode::Bilinear,
+                            FilterMode::Trilinear})
+        if (name == filterModeName(mode))
+            return mode;
+    throw Exception(ErrorCode::BadArgument,
+                    "unknown filter mode '" + name +
+                        "' (expected point, bilinear or trilinear)");
 }
 
 void

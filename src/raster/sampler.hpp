@@ -12,6 +12,7 @@
 #define MLTC_RASTER_SAMPLER_HPP
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "raster/access_sink.hpp"
@@ -22,6 +23,13 @@ namespace mltc {
 
 /** Human-readable name of a filter mode ("point"/"bilinear"/"trilinear"). */
 const char *filterModeName(FilterMode mode);
+
+/**
+ * The filter mode named @p name, the inverse of filterModeName().
+ * Throws Exception(BadArgument) naming @p name and the valid names for
+ * anything else.
+ */
+FilterMode parseFilterMode(const std::string &name);
 
 /**
  * Per-object texture sampling state. Bind a texture, then draw spans

@@ -5,7 +5,6 @@
 
 #include "obs/stage.hpp"
 #include "raster/access_sink.hpp"
-#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/serializer.hpp"
 
@@ -531,51 +530,6 @@ MultiConfigRunner::reviveQuarantined(const ResilienceConfig &rc, int frame)
     }
 }
 
-void
-MultiConfigRunner::publishTelemetry(const char *status, uint32_t next_frame,
-                                    int checkpoint_write_failures) const
-{
-    // The scrape thread only reads the pushed strings, never runner
-    // state.
-    if (!obs_ || !obs_->telemetry())
-        return;
-    size_t dead = 0;
-    for (const SimQuarantine &q : quarantine_)
-        if (q.dead)
-            ++dead;
-    JsonWriter h;
-    h.beginObject();
-    h.kv("status", status);
-    h.kv("frame", static_cast<int64_t>(next_frame));
-    h.kv("frames", static_cast<int64_t>(config_.frames));
-    h.kv("quarantined", static_cast<uint64_t>(dead));
-    h.kv("checkpoint_write_failures",
-         static_cast<int64_t>(checkpoint_write_failures));
-    h.endObject();
-    obs_->telemetry()->publishHealth(h.str());
-
-    JsonWriter r;
-    r.beginObject();
-    r.kv("mode", "sims");
-    r.kv("width", config_.width);
-    r.kv("height", config_.height);
-    r.kv("frames", static_cast<int64_t>(config_.frames));
-    r.kv("frame", static_cast<int64_t>(next_frame));
-    r.key("sims");
-    r.beginArray();
-    for (size_t i = 0; i < sims_.size(); ++i) {
-        r.beginObject();
-        r.kv("index", static_cast<uint64_t>(i));
-        r.kv("label", sims_[i]->label());
-        r.kv("status", quarantine_[i].dead ? "quarantined" : "serving");
-        r.kv("failures", static_cast<uint64_t>(quarantine_[i].failures));
-        r.endObject();
-    }
-    r.endArray();
-    r.endObject();
-    obs_->telemetry()->publishRunz(r.str());
-}
-
 RunManifest
 MultiConfigRunner::runSupervised(const ResilienceConfig &rc,
                                  const RowCallback &cb)
@@ -652,10 +606,6 @@ MultiConfigRunner::runSupervised(const ResilienceConfig &rc,
     };
     steps.load = [this](const std::string &path) {
         return loadCheckpoint(path);
-    };
-    steps.publish = [this](const char *status, uint32_t next,
-                           int write_failures) {
-        publishTelemetry(status, next, write_failures);
     };
     steps.entries = [this] {
         std::vector<ManifestEntry> out;

@@ -169,10 +169,6 @@ class MultiConfigRunner
     /** Crash-loop containment: revive due simulators before @p frame. */
     void reviveQuarantined(const ResilienceConfig &rc, int frame);
 
-    /** Push the /healthz and /runz documents. */
-    void publishTelemetry(const char *status, uint32_t next_frame,
-                          int checkpoint_write_failures) const;
-
     Workload &workload_;
     DriverConfig config_;
     std::vector<std::unique_ptr<CacheSim>> sims_;

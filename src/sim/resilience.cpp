@@ -143,7 +143,11 @@ superviseRun(const ResilienceConfig &rc, const SupervisedSteps &steps,
     uint64_t retry_at = 0; ///< first step boundary allowed to commit again
     const Clock::time_point run_start = Clock::now();
 
-    steps.publish("serving", next, write_failures);
+    const auto publish = [&](const char *status) {
+        if (steps.publish)
+            steps.publish(status, next, write_failures);
+    };
+    publish("serving");
     while (next < steps.count) {
         if (cancellationRequested()) {
             outcome = RunOutcome::Cancelled;
@@ -200,7 +204,7 @@ superviseRun(const ResilienceConfig &rc, const SupervisedSteps &steps,
             }
         }
 
-        steps.publish("serving", next, write_failures);
+        publish("serving");
     }
 
     if (outcome == RunOutcome::DeadlineExceeded ||
@@ -243,7 +247,7 @@ superviseRun(const ResilienceConfig &rc, const SupervisedSteps &steps,
                     e.error().describe() + ")");
         }
     }
-    steps.publish(runOutcomeName(outcome), next, write_failures);
+    publish(runOutcomeName(outcome));
     return manifest;
 }
 

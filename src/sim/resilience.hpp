@@ -148,7 +148,7 @@ struct SupervisedSteps
     std::function<void(const std::string &path, uint32_t next)> save;
     /** Restore a checkpoint; returns the step it continues from. */
     std::function<uint32_t(const std::string &path)> load;
-    /** Publish the /healthz and /runz documents. */
+    /** Publish the /healthz and /runz documents; empty = none. */
     std::function<void(const char *status, uint32_t next,
                        int checkpoint_write_failures)>
         publish;

@@ -8,9 +8,9 @@
  * quadImpl/handleMiss path) over real workloads (Village, City), a
  * synthetic L2 thrasher, every filter mode, fault injection, 3C
  * classification and TLB modelling; plus property/fuzz coverage of
- * accessBatch() itself (empty spans, length-1 spans, non-SIMD-width
- * tails, MIP/texture boundaries inside one span, duplicate texels
- * against the coalescing filter).
+ * accessBatch() itself (empty spans, length-1 spans, spans ending
+ * inside and past the staging chunk, MIP/texture boundaries inside one
+ * span, duplicate texels against the coalescing filter).
  */
 #include <gtest/gtest.h>
 
@@ -213,6 +213,17 @@ TEST(BatchRenderDifferential, VillageClassifiedWithTlb)
                             "village-classified-tlb");
 }
 
+TEST(BatchRenderDifferential, VillageEightTexelL1Tiles)
+{
+    // 8x8 L1 tiles in 16x16 L1-layout blocks: two sub-block bits per
+    // Morton code instead of four, so the fused translation's tile/
+    // sub-block split differs from every 4x4 case.
+    const CacheSimConfig cfg = CacheSimConfig::twoLevel(
+        2 << 10, 256 << 10, /*l2_tile=*/32, /*l1_tile=*/8);
+    checkRenderDifferential(tinyVillage, FilterMode::Trilinear, cfg, 3,
+                            "village-l1tile8");
+}
+
 TEST(BatchRenderDifferential, CityTrilinear)
 {
     const CacheSimConfig cfg = CacheSimConfig::twoLevel(2 << 10, 256 << 10);
@@ -303,8 +314,8 @@ TEST_F(BatchSpanTest, EmptySpanIsANoOp)
 
 TEST_F(BatchSpanTest, EverySpanLengthTailMatchesScalar)
 {
-    // Lengths 1..67 cover the length-1 span, sub-chunk spans, and
-    // non-multiple-of-SIMD-width tails of the 256-entry staging chunk.
+    // The length-1 span, sub-chunk spans of odd lengths, and spans
+    // ending on and past the 256-entry staging chunk.
     const CacheSimConfig cfg = CacheSimConfig::twoLevel(2 << 10, 64 << 10);
     for (size_t len : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
                        size_t{16}, size_t{31}, size_t{67}, size_t{256},

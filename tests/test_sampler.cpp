@@ -10,6 +10,7 @@
 
 #include "raster/sampler.hpp"
 #include "texture/procedural.hpp"
+#include "util/error.hpp"
 
 namespace mltc {
 namespace {
@@ -242,6 +243,27 @@ TEST(FilterModeName, Names)
     EXPECT_STREQ(filterModeName(FilterMode::Point), "point");
     EXPECT_STREQ(filterModeName(FilterMode::Bilinear), "bilinear");
     EXPECT_STREQ(filterModeName(FilterMode::Trilinear), "trilinear");
+}
+
+TEST(FilterModeName, ParseAcceptsEveryName)
+{
+    for (FilterMode mode : {FilterMode::Point, FilterMode::Bilinear,
+                            FilterMode::Trilinear})
+        EXPECT_EQ(parseFilterMode(filterModeName(mode)), mode);
+}
+
+TEST(FilterModeName, ParseRejectsATypo)
+{
+    try {
+        parseFilterMode("bilinar");
+        FAIL() << "a misspelt filter must not parse";
+    } catch (const Exception &e) {
+        EXPECT_EQ(e.code(), ErrorCode::BadArgument);
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'bilinar'"), std::string::npos) << what;
+        for (const char *name : {"point", "bilinear", "trilinear"})
+            EXPECT_NE(what.find(name), std::string::npos) << what;
+    }
 }
 
 } // namespace
