@@ -3,9 +3,10 @@
  * Google-benchmark microbenchmarks of the simulator hot paths: L1
  * lookups, the full two-level controller (plain, pull, and with 3C
  * classification enabled), virtual address translation, the FlatSet64
- * trace structure, and one paper-configuration frame of the texture
- * producer (full Village, 1024x768, trilinear). These bound the
- * wall-clock cost of the experiment sweeps.
+ * trace structure, one exact reuse-distance record(), and one
+ * paper-configuration frame of the texture producer (full Village,
+ * 1024x768, trilinear). These bound the wall-clock cost of the
+ * experiment sweeps.
  *
  * Besides the console table, the run emits a machine-readable
  * `BENCH_perf.json` at the repository root (override the path with
@@ -26,6 +27,7 @@
 #include "core/cache_sim.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "obs/reuse_profiler.hpp"
 #include "obs/telemetry_server.hpp"
 #include "util/build_info.hpp"
 #include "raster/rasterizer.hpp"
@@ -422,6 +424,42 @@ BM_FlatSetInsert(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FlatSetInsert);
+
+/**
+ * One exact reuse-distance record() — the cost a serving tenant's
+ * utility-L2 tracker adds to every L1 miss. The tracker first sees all
+ * 64K keys of the population, so the live stack holds ~64K units, then
+ * the timed loop replays a seeded stream with mixed distances: a hot
+ * set (short), a looping sweep (mid) and uniform picks over the whole
+ * population (long). Keys are scrambled so none is a small integer.
+ */
+void
+BM_ReuseTrackerRecord(benchmark::State &state)
+{
+    constexpr uint64_t kKeys = 1 << 16;
+    const auto key = [](uint64_t k) {
+        return (k * 0x9e3779b97f4a7c15ull) ^ 0x5bd1e995ull;
+    };
+    Rng rng(17);
+    std::vector<uint64_t> stream(1 << 20);
+    for (size_t i = 0; i < stream.size(); ++i) {
+        const uint64_t pick = rng.below(10);
+        if (pick < 5)
+            stream[i] = key(rng.below(256));
+        else if (pick < 8)
+            stream[i] = key(256 + i % 8192);
+        else
+            stream[i] = key(rng.below(kKeys));
+    }
+    ReuseDistanceTracker tracker(1.0);
+    for (uint64_t k = 0; k < kKeys; ++k)
+        tracker.record(key(k));
+    size_t i = 0;
+    for (auto _ : state)
+        tracker.record(stream[i++ & (stream.size() - 1)]);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReuseTrackerRecord);
 
 /**
  * One frame of the texture producer at the paper configuration: the

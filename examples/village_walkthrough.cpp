@@ -27,8 +27,15 @@ main(int argc, char **argv)
 {
     using namespace mltc;
     CommandLine cli(argc, argv);
-    const int frames = static_cast<int>(cli.getInt("frames", 60));
-    const std::string snapshots = cli.getString("snapshots", "");
+    std::string snapshots;
+    DriverConfig cfg;
+    if (const int status = parseArguments([&] {
+            cfg.frames = static_cast<int>(cli.getInt("frames", 60));
+            cfg.filter =
+                parseFilterMode(cli.getString("filter", "trilinear"));
+            snapshots = cli.getString("snapshots", "");
+        }))
+        return status;
 
     Workload wl = buildVillage();
     std::printf("Village: %zu objects, %llu triangles, %s textures\n",
@@ -37,10 +44,6 @@ main(int argc, char **argv)
                 formatBytes(static_cast<double>(
                                 wl.textures->totalHostBytes()))
                     .c_str());
-
-    DriverConfig cfg;
-    cfg.filter = parseFilterMode(cli.getString("filter", "trilinear"));
-    cfg.frames = frames;
 
     MultiConfigRunner runner(wl, cfg);
     runner.addSim(CacheSimConfig::pull(2 * 1024), "pull");
@@ -101,9 +104,9 @@ main(int argc, char **argv)
         Framebuffer fb(1024, 768);
         raster.setFramebuffer(&fb);
         for (int i = 0; i < 4; ++i) {
-            int f = i * (frames - 1) / 3;
+            int f = i * (cfg.frames - 1) / 3;
             fb.clear(packRgba(40, 60, 90));
-            Camera cam = wl.cameraAtFrame(f, frames, 1024.0f / 768.0f);
+            Camera cam = wl.cameraAtFrame(f, cfg.frames, 1024.0f / 768.0f);
             raster.renderFrame(wl.scene, cam, *wl.textures);
             std::string path = snapshots + "/village_" +
                                std::to_string(f) + ".ppm";

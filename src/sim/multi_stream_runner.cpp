@@ -688,8 +688,12 @@ MultiStreamRunner::runRound(uint32_t round, AuditLevel audit,
     }
 
     if (cfg_.repartition_every > 0 &&
-        (round + 1) % cfg_.repartition_every == 0)
+        (round + 1) % cfg_.repartition_every == 0) {
+        const Clock::time_point repartition_start = Clock::now();
         repartition(round);
+        flightMetric("serve.repartition_ms",
+                     ms(Clock::now() - repartition_start));
+    }
 
     evaluateSlo(round);
     publishRound(round);

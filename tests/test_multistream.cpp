@@ -638,17 +638,20 @@ TEST(MultiStream, RoundPhaseTimesGoToTheFlightRecorder)
     hooks().install(&recorder);
     runner.run({});
     hooks().uninstall(&recorder);
-    int legs = 0, drains = 0;
+    std::map<std::string, int> phases;
     for (const FlightEvent &e : recorder.snapshot()) {
         const std::string name = e.name;
-        if (name != "serve.legs_ms" && name != "serve.drain_ms")
+        if (name != "serve.legs_ms" && name != "serve.drain_ms" &&
+            name != "serve.repartition_ms")
             continue;
         EXPECT_EQ(e.kind, FlightEvent::Metric) << name;
         EXPECT_GE(e.value, 0.0) << name;
-        (name == "serve.legs_ms" ? legs : drains) += 1;
+        ++phases[name];
     }
-    EXPECT_EQ(legs, 3);
-    EXPECT_EQ(drains, 3);
+    EXPECT_EQ(phases["serve.legs_ms"], 3);
+    EXPECT_EQ(phases["serve.drain_ms"], 3);
+    // repartition_every = 2: only round 1 of rounds 0..2 repartitions.
+    EXPECT_EQ(phases["serve.repartition_ms"], 1);
 }
 
 TEST(MultiStream, TracedRunReportsHotStageTimes)
