@@ -23,10 +23,15 @@ main(int argc, char **argv)
 {
     using namespace mltc;
     CommandLine cli(argc, argv);
-    const int frames = static_cast<int>(cli.getInt("frames", 60));
-    const uint64_t l2_mb =
-        static_cast<uint64_t>(cli.getInt("l2-mb", 2));
-    const std::string snapshot = cli.getString("snapshot", "");
+    int frames = 0;
+    uint64_t l2_mb = 0;
+    std::string snapshot;
+    if (const int status = parseArguments([&] {
+            frames = static_cast<int>(cli.getInt("frames", 60));
+            l2_mb = static_cast<uint64_t>(cli.getInt("l2-mb", 2));
+            snapshot = cli.getString("snapshot", "");
+        }))
+        return status;
 
     Workload wl = buildCity();
     size_t facades = 0;

@@ -70,25 +70,32 @@ main(int argc, char **argv)
 {
     using namespace mltc;
     CommandLine cli(argc, argv);
-    try {
-        installIoFaultsFromCli(cli); // --io-faults=eio=R,...,seed=S
-    } catch (const Exception &e) {
-        std::fprintf(stderr, "%s\n", e.error().describe().c_str());
-        return 1;
-    }
-    const std::string name = cli.getString("workload", "village");
-    const int frames = static_cast<int>(cli.getInt("frames", 8));
-    const std::string path = cli.getString("trace", "/tmp/mltc_clip.bin");
-    const ResilienceConfig resilience = resilienceFromCli(cli);
-    const unsigned jobs = jobsFromCli(cli);
+    std::string name, path;
+    int frames = 0;
+    ResilienceConfig resilience;
+    unsigned jobs = 0;
+    ObsConfig obs_cfg;
+    ReuseProfilerConfig prof_base;
+    HostPathConfig host;
+    if (const int status = parseArguments([&] {
+            installIoFaultsFromCli(cli); // --io-faults=eio=R,...,seed=S
+            name = cli.getString("workload", "village");
+            checkWorkloadName(name);
+            frames = static_cast<int>(cli.getInt("frames", 8));
+            path = cli.getString("trace", "/tmp/mltc_clip.bin");
+            resilience = resilienceFromCli(cli);
+            jobs = jobsFromCli(cli);
+            obs_cfg = obsFromCli(cli);
+            prof_base = mrcFromCli(cli);
+            host = hostPathFromCli(cli);
+        }))
+        return status;
 
     // Telemetry plane: one process-wide bundle (HTTP server, shared
     // tracer, flight recorder). Per-leg metrics JSONL is not merged
     // here, so keep the registry driven by the sweep status only.
-    ObsConfig obs_cfg;
     std::unique_ptr<Observability> obs;
     try {
-        obs_cfg = obsFromCli(cli);
         obs_cfg.metrics_path.clear();
         if (obs_cfg.anyEnabled())
             obs = std::make_unique<Observability>(obs_cfg);
@@ -131,8 +138,6 @@ main(int argc, char **argv)
     };
     const size_t n = sizeof candidates / sizeof candidates[0];
 
-    const ReuseProfilerConfig prof_base = mrcFromCli(cli);
-    const HostPathConfig host = hostPathFromCli(cli);
     if (host.fault_injection)
         std::printf("replaying over a faulty host channel (seed %llu, "
                     "drop %.3f, corrupt %.3f)\n",

@@ -13,7 +13,7 @@ Wall-clock rows from ext_parallel_scaling (BM_ParallelSweep/jobs:N)
 are excluded: they measure thread-scaling on whatever core count the
 machine happens to have, not single-thread code quality. The
 single-thread hot-path benchmarks (BM_CacheSimAccess*,
-BM_MultiStreamInterference) are mandatory —
+BM_MultiStreamInterference, BM_ReuseTrackerRecord) are mandatory —
 a candidate that lacks them is unusable, not merely incomplete, since
 they are the benchmarks this gate exists to protect.
 
@@ -59,7 +59,8 @@ import sys
 IGNORED_PREFIXES = ("BM_ParallelSweep",)
 
 # Rows the candidate must contain for the gate to mean anything.
-REQUIRED_PREFIXES = ("BM_CacheSimAccess", "BM_MultiStreamInterference")
+REQUIRED_PREFIXES = ("BM_CacheSimAccess", "BM_MultiStreamInterference",
+                     "BM_ReuseTrackerRecord")
 
 
 def load_ns_per_op(path):

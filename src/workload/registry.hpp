@@ -22,6 +22,13 @@ std::vector<std::string> workloadNames();
 std::vector<std::string> allWorkloadNames();
 
 /**
+ * Check a --workload value before any work starts.
+ * @throws mltc::Exception (BadArgument) naming @p name unless it is one
+ *         of allWorkloadNames().
+ */
+void checkWorkloadName(const std::string &name);
+
+/**
  * Build a workload by name ("village", "city", "terrain").
  * @throws std::invalid_argument for unknown names.
  */

@@ -8,6 +8,7 @@
 
 #include <set>
 
+#include "util/error.hpp"
 #include "workload/city.hpp"
 #include "workload/registry.hpp"
 #include "workload/village.hpp"
@@ -22,6 +23,19 @@ TEST(Registry, KnowsBothWorkloads)
     EXPECT_EQ(names[0], "village");
     EXPECT_EQ(names[1], "city");
     EXPECT_THROW(buildWorkload("nope"), std::invalid_argument);
+}
+
+TEST(Registry, CheckWorkloadNameRejectsATypo)
+{
+    for (const std::string &name : allWorkloadNames())
+        EXPECT_NO_THROW(checkWorkloadName(name)) << name;
+    try {
+        checkWorkloadName("villag");
+        FAIL() << "an unknown workload name must be rejected";
+    } catch (const Exception &e) {
+        EXPECT_EQ(e.code(), ErrorCode::BadArgument);
+        EXPECT_NE(std::string(e.what()).find("'villag'"), std::string::npos);
+    }
 }
 
 TEST(Village, DeterministicInSeed)
