@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -107,6 +108,17 @@ TEST(CommandLine, NegativeForUnsignedThrowsBadArgument)
     EXPECT_THROW(cli.getUnsigned("n", 0), Exception);
     EXPECT_EQ(cli.getUnsigned("m", 0), 7ul);
     EXPECT_EQ(cli.getUnsigned("missing", 9), 9ul);
+}
+
+TEST(CommandLine, ParseArgumentsTurnsBadValuesIntoUsageStatus)
+{
+    const char *argv[] = {"prog", "--n=5q", "--m=7"};
+    CommandLine cli(3, argv);
+    unsigned long m = 0;
+    EXPECT_EQ(parseArguments([&] { m = cli.getUnsigned("m", 0); }), 0);
+    EXPECT_EQ(m, 7ul);
+    EXPECT_EQ(parseArguments([&] { cli.getInt("n", 0); }), 2);
+    EXPECT_EQ(parseArguments([] { throw std::invalid_argument("bad"); }), 2);
 }
 
 TEST(CommandLine, DoubleParsing)
