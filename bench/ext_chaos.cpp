@@ -37,6 +37,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -351,9 +352,21 @@ main(int argc, char **argv)
     using namespace mltc::bench;
 
     CommandLine cli(argc, argv);
-    const uint64_t seed = cli.getUnsigned("seed", 42);
-    const unsigned streams =
-        static_cast<unsigned>(cli.getUnsigned("streams", 0));
+    uint64_t seed = 0;
+    unsigned streams = 0;
+    int fail_at_round = -1;
+    std::string flight_out;
+    std::optional<IoFaultConfig> custom_storm;
+    if (const int status = parseArguments([&] {
+            seed = cli.getUnsigned("seed", 42);
+            streams = static_cast<unsigned>(cli.getUnsigned("streams", 0));
+            if (cli.has("io-faults"))
+                custom_storm = parseIoFaultSpec(cli.getString("io-faults", ""));
+            fail_at_round = static_cast<int>(cli.getInt("fail-at-round", -1));
+            flight_out = cli.getString("flight-out", "");
+            cli.rejectUnread();
+        }))
+        return status;
     const int n_frames = frames(6);
 
     banner("Extension: deterministic chaos harness",
@@ -367,8 +380,8 @@ main(int argc, char **argv)
     // checkpoint commits degrade to skip-with-backoff, so the run rides
     // through without the CSVs ever depending on which attempts failed.
     IoFaultConfig storm;
-    if (cli.has("io-faults")) {
-        storm = parseIoFaultSpec(cli.getString("io-faults", ""));
+    if (custom_storm) {
+        storm = *custom_storm;
     } else {
         storm.seed = seed;
         storm.eio_rate = 0.05;
@@ -383,8 +396,7 @@ main(int argc, char **argv)
     const int rcode =
         streams > 0
             ? chaosStreams(seed, streams, n_frames, storm,
-                           static_cast<int>(cli.getInt("fail-at-round", -1)),
-                           cli.getString("flight-out", ""))
+                           fail_at_round, flight_out)
             : chaosSingle(seed, n_frames, storm);
     if (IoFaultInjector *inj = FileBackend::instance().injector()) {
         const IoFaultStats &s = inj->stats();

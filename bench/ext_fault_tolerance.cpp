@@ -22,7 +22,12 @@ main(int argc, char **argv)
     using namespace mltc::bench;
 
     CommandLine cli(argc, argv);
-    const ResilienceConfig resilience = resilienceFromCli(cli);
+    ResilienceConfig resilience;
+    if (const int status = parseArguments([&] {
+            resilience = resilienceFromCli(cli);
+            cli.rejectUnread();
+        }))
+        return status;
     installCancellationHandlers();
 
     banner("Extension: host-path fault tolerance",

@@ -33,7 +33,10 @@ main(int argc, char **argv)
     using namespace mltc;
     using namespace mltc::bench;
 
+    // The bench takes no flags: anything on the command line is a typo.
     CommandLine cli(argc, argv);
+    if (const int status = parseArguments([&] { cli.rejectUnread(); }))
+        return status;
     installCancellationHandlers();
 
     banner("Extension: multi-tenant shared-L2 interference",

@@ -23,7 +23,12 @@ main(int argc, char **argv)
     using namespace mltc::bench;
 
     CommandLine cli(argc, argv);
-    const ResilienceConfig resilience = resilienceFromCli(cli);
+    ResilienceConfig resilience;
+    if (const int status = parseArguments([&] {
+            resilience = resilienceFromCli(cli);
+            cli.rejectUnread();
+        }))
+        return status;
     installCancellationHandlers();
 
     banner("Figure 9 / Table 2",

@@ -23,7 +23,6 @@
 #include "bench_common.hpp"
 #include "host/host_cli.hpp"
 #include "sim/multi_config_runner.hpp"
-#include "util/error.hpp"
 #include "util/io.hpp"
 #include "workload/registry.hpp"
 
@@ -34,14 +33,15 @@ main(int argc, char **argv)
     using namespace mltc::bench;
 
     CommandLine cli(argc, argv);
-    const ResilienceConfig resilience = resilienceFromCli(cli);
-    const HostPathConfig host = hostPathFromCli(cli);
-    try {
-        installIoFaultsFromCli(cli); // --io-faults=eio=R,...,seed=S
-    } catch (const Exception &e) {
-        std::fprintf(stderr, "%s\n", e.error().describe().c_str());
-        return 1;
-    }
+    ResilienceConfig resilience;
+    HostPathConfig host;
+    if (const int status = parseArguments([&] {
+            resilience = resilienceFromCli(cli);
+            host = hostPathFromCli(cli);
+            installIoFaultsFromCli(cli); // --io-faults=eio=R,...,seed=S
+            cli.rejectUnread();
+        }))
+        return status;
     installCancellationHandlers();
 
     banner("Table 3",

@@ -38,31 +38,36 @@
  * (--checkpoint=PATH also writes the PATH.manifest run summary;
  * --restart-limit is sweep-only and rejected here).
  *
- * Parallelism (docs/parallelism.md): every swept configuration is an
- * independent leg (its own workload, runner, fault RNG, metrics stream
- * and checkpoint) executed on a work-stealing pool:
- *   --jobs=N   worker threads (default: MLTC_JOBS env, else hardware
- *              concurrency; --jobs 1 = serial). Output bytes are
- *              invariant to N: tables, CSVs, merged metrics and
- *              snapshots are identical for --jobs 1 and --jobs 8.
+ * A sweep is one MultiConfigRunner over one workload with every swept
+ * configuration as a simulator: each frame is rasterized once and fed
+ * to all of them (the paper's method, §3.3). Parallelism
+ * (docs/parallelism.md):
+ *   --jobs=N   pool workers the simulators consume on, each through its
+ *              own span pipe (default: MLTC_JOBS env, else hardware
+ *              concurrency; --jobs 1 = the rasterizer's thread feeds
+ *              them all). Output bytes are invariant to N: tables,
+ *              metrics, MRC files and snapshots are identical for
+ *              --jobs 1 and --jobs 8.
  *
  * Any sweep accepts the --faults / --fault-* / --retry-* family (see
  * host/host_cli.hpp) to run it over the fault-injectable host backend;
- * `--sweep faults` sweeps the fault rate itself. Every leg runs under
+ * `--sweep faults` sweeps the fault rate itself. The sweep runs under
  * watchdog supervision with the shared resilience flags
- * (sim/resilience.hpp): --checkpoint=PATH (per-leg PATH.legN files plus
- * a PATH.manifest sweep summary), --checkpoint-every=N, --resume,
- * --deadline-ms=D, --budget-ms=B, --audit=off|cheap|full,
- * --restart-limit=N. Ctrl-C checkpoints every leg at its next frame
- * boundary and exits cleanly; rerun with --resume to finish.
+ * (sim/resilience.hpp): --checkpoint=PATH (one snapshot of every
+ * configuration plus a PATH.manifest summary), --checkpoint-every=N,
+ * --resume, --deadline-ms=D, --budget-ms=B, --audit=off|cheap|full,
+ * --restart-limit=N. A configuration that throws is quarantined while
+ * the others finish. Ctrl-C checkpoints at the next frame boundary and
+ * exits cleanly; rerun with --resume to finish.
  *
  * Every flag is read before any work starts: a malformed value (an
- * unknown --sweep, --workload or --filter, a non-numeric count) prints
- * a typed `[bad-argument]` error and exits 2.
+ * unknown --sweep, --workload or --filter, a non-numeric count) or a
+ * flag the chosen mode does not read prints a typed `[bad-argument]`
+ * error and exits 2.
  *
  * Observability (obs/observability.hpp, docs/observability.md):
- *   --metrics-out=PATH  per-frame metrics registry snapshots (JSONL;
- *                       per-leg streams merged in leg order)
+ *   --metrics-out=PATH  per-frame metrics registry snapshots (JSONL; one
+ *                       row per frame, series labelled sim=<config>)
  *   --trace-out=PATH    Chrome trace-event / Perfetto timeline (JSON;
  *                       one shared thread-safe writer, one tid per
  *                       worker)
@@ -89,14 +94,14 @@
  *   --profile-out=PREFIX sampling stage profiler; writes PREFIX.folded
  *                       (collapsed stacks, flamegraph.pl/speedscope
  *                       compatible) and PREFIX.json (per-stage summary,
- *                       per-leg/per-stream roll-ups, hardware counters)
+ *                       per-configuration (leg:) and per-stream
+ *                       roll-ups, hardware counters)
  *   --profile-hz=N      sampling rate (default 997)
  *   --profile-no-counters  skip perf_event_open hardware counters
  * The profiler observes and never steers: simulation outputs are
  * byte-identical with profiling on or off, and across --jobs counts.
  */
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -113,28 +118,12 @@
 #include "util/error.hpp"
 #include "util/io.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/registry.hpp"
 
 namespace {
 
 using namespace mltc;
-
-/** One swept configuration. */
-struct Candidate
-{
-    CacheSimConfig config;
-    std::string label;
-};
-
-/** Everything one finished leg leaves behind for the report phase. */
-struct LegState
-{
-    Workload wl;
-    std::unique_ptr<MultiConfigRunner> runner;
-    std::unique_ptr<Observability> obs;
-    std::unique_ptr<ReuseProfiler> profiler;
-    RunManifest manifest;
-};
 
 /**
  * Strictly parse the multi-tenant flags: every malformed value throws
@@ -230,87 +219,40 @@ multiStreamFromCli(const CommandLine &cli)
 }
 
 /**
- * The configurations a --sweep visits, each with the optional fault
- * scenario and miss classification applied.
- * @throws mltc::Exception (BadArgument) for an unknown sweep name.
+ * Print the tracer's stage self-time table (with --trace-out), then
+ * close every observability output and name the profile files.
+ * @return 0, or 1 when an output could not be written
  */
-std::vector<Candidate>
-sweepCandidates(const std::string &sweep, const HostPathConfig &host,
-                bool classify_misses)
+int
+closeObservability(Observability &obs, const ObsConfig &obs_cfg)
 {
-    auto withHost = [&](CacheSimConfig sc) {
-        sc.host = host;
-        sc.classify_misses = classify_misses;
-        return sc;
-    };
-
-    std::vector<Candidate> candidates;
-    if (sweep == "l1") {
-        for (uint64_t kb : {1u, 2u, 4u, 8u, 16u, 32u, 64u})
-            candidates.push_back({withHost(CacheSimConfig::pull(kb * 1024)),
-                                  std::to_string(kb) + " KB L1 (pull)"});
-    } else if (sweep == "l2") {
-        for (uint64_t mb : {1u, 2u, 4u, 8u, 16u})
-            candidates.push_back(
-                {withHost(CacheSimConfig::twoLevel(2 * 1024, mb << 20)),
-                 std::to_string(mb) + " MB L2"});
-    } else if (sweep == "l2tile") {
-        for (uint32_t tile : {8u, 16u, 32u})
-            candidates.push_back(
-                {withHost(
-                     CacheSimConfig::twoLevel(2 * 1024, 2ull << 20, tile)),
-                 std::to_string(tile) + "x" + std::to_string(tile) +
-                     " L2 tiles"});
-    } else if (sweep == "tlb") {
-        for (uint32_t entries : {1u, 2u, 4u, 8u, 16u, 32u}) {
-            CacheSimConfig sc =
-                withHost(CacheSimConfig::twoLevel(2 * 1024, 2ull << 20));
-            sc.tlb_entries = entries;
-            candidates.push_back(
-                {sc, std::to_string(entries) + "-entry TLB"});
-        }
-    } else if (sweep == "policy") {
-        for (auto p : {ReplacementPolicy::Clock, ReplacementPolicy::Lru,
-                       ReplacementPolicy::Fifo, ReplacementPolicy::Random}) {
-            CacheSimConfig sc =
-                withHost(CacheSimConfig::twoLevel(2 * 1024, 2ull << 20));
-            sc.l2.policy = p;
-            candidates.push_back({sc, replacementPolicyName(p)});
-        }
-    } else if (sweep == "faults") {
-        for (double rate : {0.0, 0.01, 0.05, 0.1, 0.2, 0.4}) {
-            CacheSimConfig sc =
-                withHost(CacheSimConfig::twoLevel(2 * 1024, 2ull << 20));
-            sc.host.fault_injection = true;
-            sc.host.faults.drop_rate = rate;
-            sc.host.faults.corrupt_rate = rate / 2.0;
-            candidates.push_back({sc, formatPercent(rate, 0) + " fault rate"});
-        }
-    } else {
-        throw Exception(ErrorCode::BadArgument,
-                        "--sweep: unknown sweep '" + sweep +
-                            "' (expected l1|l2|l2tile|tlb|policy|faults)");
+    if (obs.trace()) {
+        std::printf("\nstage self-times (%s):\n",
+                    obs.trace()->path().c_str());
+        TextTable st({"stage", "count", "total ms", "self ms"});
+        for (const StageStat &s : obs.trace()->stageStats())
+            st.addRow(
+                {s.name, std::to_string(s.count),
+                 formatDouble(static_cast<double>(s.total_us) / 1000.0, 2),
+                 formatDouble(static_cast<double>(s.self_us) / 1000.0, 2)});
+        st.print();
     }
-    return candidates;
-}
-
-/** Print the tracer's stage self-time table (no-op without --trace-out). */
-void
-printStageTimes(Observability &obs)
-{
-    if (!obs.trace())
-        return;
-    std::printf("\nstage self-times (%s):\n", obs.trace()->path().c_str());
-    TextTable st({"stage", "count", "total ms", "self ms"});
-    for (const StageStat &s : obs.trace()->stageStats())
-        st.addRow({s.name, std::to_string(s.count),
-                   formatDouble(static_cast<double>(s.total_us) / 1000.0, 2),
-                   formatDouble(static_cast<double>(s.self_us) / 1000.0, 2)});
-    st.print();
+    try {
+        obs.close();
+    } catch (const Exception &e) {
+        std::fprintf(stderr, "observability output failed: %s\n",
+                     e.error().describe().c_str());
+        return 1;
+    }
+    if (!obs_cfg.profile_out.empty())
+        std::printf("[profile] %s.folded %s.json\n",
+                    obs_cfg.profile_out.c_str(),
+                    obs_cfg.profile_out.c_str());
+    return 0;
 }
 
 int
-runMultiStream(const CommandLine &cli, const MultiStreamConfig &ms,
+runMultiStream(const MultiStreamConfig &ms, const std::string &csv_prefix,
                const ResilienceConfig &resilience, const ObsConfig &obs_cfg)
 {
     installCancellationHandlers();
@@ -327,7 +269,6 @@ runMultiStream(const CommandLine &cli, const MultiStreamConfig &ms,
 
     const RunManifest manifest = runner.run(resilience);
 
-    const std::string csv_prefix = cli.getString("csv-prefix", "");
     if (!csv_prefix.empty())
         for (uint32_t i = 0; i < runner.streamCount(); ++i)
             runner.writeStreamCsv(i, csv_prefix + ".stream" +
@@ -369,19 +310,8 @@ runMultiStream(const CommandLine &cli, const MultiStreamConfig &ms,
                     manifest.checkpoint.empty()
                         ? ""
                         : " (rerun with --resume to finish)");
-    printStageTimes(obs);
-
-    try {
-        obs.close();
-    } catch (const Exception &e) {
-        std::fprintf(stderr, "observability output failed: %s\n",
-                     e.error().describe().c_str());
-        return 1;
-    }
-    if (!obs_cfg.profile_out.empty())
-        std::printf("[profile] %s.folded %s.json\n",
-                    obs_cfg.profile_out.c_str(),
-                    obs_cfg.profile_out.c_str());
+    if (const int status = closeObservability(obs, obs_cfg))
+        return status;
     return manifest.outcome == RunOutcome::Completed ? 0 : 2;
 }
 
@@ -404,11 +334,15 @@ main(int argc, char **argv)
 
     if (cli.has("streams")) {
         MultiStreamConfig ms;
-        if (const int status =
-                parseArguments([&] { ms = multiStreamFromCli(cli); }))
+        std::string csv_prefix;
+        if (const int status = parseArguments([&] {
+                ms = multiStreamFromCli(cli);
+                csv_prefix = cli.getString("csv-prefix", "");
+                cli.rejectUnread();
+            }))
             return status;
         try {
-            return runMultiStream(cli, ms, resilience, obs_cfg);
+            return runMultiStream(ms, csv_prefix, resilience, obs_cfg);
         } catch (const Exception &e) {
             std::fprintf(stderr, "%s\n", e.error().describe().c_str());
             return 1;
@@ -416,168 +350,97 @@ main(int argc, char **argv)
     }
 
     std::string sweep, workload;
-    int frames = 0;
     unsigned jobs = 0;
     DriverConfig cfg;
-    std::vector<Candidate> candidates;
+    std::vector<SweepCandidate> candidates;
     ReuseProfilerConfig prof_cli;
     if (const int status = parseArguments([&] {
             sweep = cli.getString("sweep", "l1");
             workload = cli.getString("workload", "village");
             checkWorkloadName(workload);
-            frames = static_cast<int>(cli.getInt("frames", 48));
+            cfg.frames = static_cast<int>(cli.getInt("frames", 48));
             jobs = jobsFromCli(cli);
             cfg.filter = parseFilterMode(cli.getString("filter", "trilinear"));
             candidates = sweepCandidates(sweep, hostPathFromCli(cli),
                                          obs_cfg.miss_classes);
             prof_cli = mrcFromCli(cli);
+            cli.rejectUnread();
         }))
         return status;
     installCancellationHandlers();
-    cfg.frames = frames;
-
-    // The shared sinks: one thread-safe trace writer for every leg (a
-    // tid per worker) installed process-globally; metrics stay per-leg
-    // and are merged below.
-    ObsConfig shared_cfg = obs_cfg;
-    shared_cfg.metrics_path.clear();
-    Observability obs(shared_cfg);
+    Observability obs(obs_cfg);
 
     std::printf("sweeping '%s' over %s (%d frames, %s filtering, "
                 "%zu legs, %u jobs)...\n",
-                sweep.c_str(), workload.c_str(), frames,
+                sweep.c_str(), workload.c_str(), cfg.frames,
                 filterModeName(cfg.filter), candidates.size(), jobs);
 
-    // Each candidate is one leg: own workload (private TextureManager),
-    // own runner + sim (private fault RNG stream), own metrics stream
-    // and checkpoint. Results land in leg-indexed slots; every file and
-    // table below is emitted in leg order, so output bytes cannot
-    // depend on the pool's schedule.
-    std::vector<std::unique_ptr<LegState>> legs(candidates.size());
-    SweepExecutor executor(jobs);
-    if (obs.telemetry()) {
-        obs.telemetry()->publishHealth("{\"status\":\"serving\"}");
-        executor.setTelemetry(obs.telemetry());
+    // Every candidate is a simulator of one runner: the workload is
+    // built once and each frame rasterized once, then consumed by all
+    // of them (in parallel on the pool with --jobs > 1).
+    Workload wl = buildWorkload(workload);
+    std::unique_ptr<ThreadPool> pool;
+    if (jobs > 1)
+        pool = std::make_unique<ThreadPool>(jobs);
+    MultiConfigRunner runner(wl, cfg, pool.get());
+    for (const SweepCandidate &c : candidates)
+        runner.addSim(c.config, c.label);
+    if (obs_cfg.anyEnabled())
+        runner.setObservability(&obs);
+
+    // Reuse-distance profiler on the first swept configuration: every
+    // configuration sees the identical reference stream, so one
+    // profiled sim predicts the whole capacity axis. Attached before
+    // runSupervised so a --resume checkpoint restores its state.
+    std::unique_ptr<ReuseProfiler> profiler;
+    if (prof_cli.enabled) {
+        ReuseProfilerConfig pc = prof_cli;
+        CacheSim &first = *runner.sims().front();
+        pc.screen_width = static_cast<uint32_t>(cfg.width);
+        pc.screen_height = static_cast<uint32_t>(cfg.height);
+        pc.l1_unit_bytes = first.config().l1.lineBytes();
+        // L2 sectors transfer L1 lines: sector unit == line.
+        pc.l2_unit_bytes = first.config().l1.lineBytes();
+        profiler = std::make_unique<ReuseProfiler>(pc);
+        first.setReuseProfiler(profiler.get());
     }
-    for (size_t i = 0; i < candidates.size(); ++i) {
-        executor.addLeg(candidates[i].label, [&, i](LegContext &ctx) {
-            auto leg = std::make_unique<LegState>();
-            leg->wl = buildWorkload(workload);
-            leg->runner = std::make_unique<MultiConfigRunner>(leg->wl, cfg);
-            leg->runner->addSim(candidates[i].config, candidates[i].label);
 
-            if (!obs_cfg.metrics_path.empty()) {
-                ObsConfig leg_obs = obs_cfg;
-                leg_obs.trace_path.clear();
-                // The telemetry plane is process-wide: the shared obs
-                // owns the HTTP server and the flight recorder; a leg
-                // must not bind a second port or steal the hooks.
-                leg_obs.telemetry = false;
-                leg_obs.telemetry_port_file.clear();
-                leg_obs.slo_spec.clear();
-                leg_obs.slo_out.clear();
-                leg_obs.flight_out.clear();
-                leg_obs.profile_out.clear();
-                leg_obs.metrics_path += ".leg" + std::to_string(i);
-                leg->obs = std::make_unique<Observability>(
-                    leg_obs, /*install_process_hooks=*/false);
-                leg->runner->setObservability(leg->obs.get());
-            }
-
-            // Reuse-distance profiler: attached to the first swept
-            // configuration (every sweep sees the identical reference
-            // stream, so one profiled sim predicts the whole capacity
-            // axis). Must be attached before runSupervised so a
-            // --resume checkpoint restores profiler state.
-            if (i == 0 && prof_cli.enabled) {
-                ReuseProfilerConfig pc = prof_cli;
-                CacheSim &first = *leg->runner->sims().front();
-                pc.screen_width = static_cast<uint32_t>(cfg.width);
-                pc.screen_height = static_cast<uint32_t>(cfg.height);
-                pc.l1_unit_bytes = first.config().l1.lineBytes();
-                // L2 sectors transfer L1 lines: sector unit == line.
-                pc.l2_unit_bytes = first.config().l1.lineBytes();
-                leg->profiler = std::make_unique<ReuseProfiler>(pc);
-                first.setReuseProfiler(leg->profiler.get());
-            }
-
-            leg->manifest =
-                leg->runner->runSupervised(
-                    legResilience(resilience, ".leg" + std::to_string(i)));
-            if (leg->manifest.outcome != RunOutcome::Completed)
-                ctx.printf("leg '%s' %s after %d frames%s\n",
-                           candidates[i].label.c_str(),
-                           runOutcomeName(leg->manifest.outcome),
-                           leg->manifest.frames_completed,
-                           leg->manifest.checkpoint.empty()
-                               ? ""
-                               : " (rerun with --resume to finish)");
-            if (leg->obs)
-                leg->obs->close();
-            legs[i] = std::move(leg);
-        });
-    }
-    const SweepManifest sweep_manifest = executor.run();
     if (obs.telemetry())
-        obs.telemetry()->publishHealth(
-            sweep_manifest.allCompleted()
-                ? "{\"status\":\"completed\"}"
-                : "{\"status\":\"degraded\"}");
-    if (!resilience.checkpoint_path.empty())
-        sweep_manifest.writeCsv(resilience.checkpoint_path + ".manifest");
-
-    // Merge per-leg metrics JSONL into the requested file, leg order.
-    if (!obs_cfg.metrics_path.empty()) {
-        std::ofstream merged(obs_cfg.metrics_path, std::ios::binary);
-        for (size_t i = 0; i < legs.size(); ++i) {
-            const std::string part =
-                obs_cfg.metrics_path + ".leg" + std::to_string(i);
-            std::ifstream in(part, std::ios::binary);
-            // Skip empty parts (a leg cancelled before its first
-            // frame): streaming an empty rdbuf would set failbit on
-            // the merged stream.
-            if (in.good() && in.peek() != std::ifstream::traits_type::eof())
-                merged << in.rdbuf();
-            in.close();
-            std::remove(part.c_str());
-        }
-        if (!merged.good()) {
-            std::fprintf(stderr, "metrics merge failed: %s\n",
-                         obs_cfg.metrics_path.c_str());
-            return 1;
-        }
+        obs.telemetry()->publishHealth("{\"status\":\"serving\"}");
+    RunManifest manifest;
+    try {
+        manifest = runner.runSupervised(resilience);
+    } catch (const Exception &e) {
+        std::fprintf(stderr, "%s\n", e.error().describe().c_str());
+        return 1;
     }
-
-    bool all_completed = true;
-    for (size_t i = 0; i < legs.size(); ++i) {
-        const LegResult &lr = sweep_manifest.legs[i];
-        if (lr.outcome == LegOutcome::Failed)
-            std::fprintf(stderr, "leg '%s' failed: %s\n", lr.name.c_str(),
-                         lr.error.c_str());
-        if (!legs[i] ||
-            legs[i]->manifest.outcome != RunOutcome::Completed)
-            all_completed = false;
-    }
+    const bool completed = manifest.outcome == RunOutcome::Completed;
+    if (obs.telemetry())
+        obs.telemetry()->publishHealth(completed
+                                           ? "{\"status\":\"completed\"}"
+                                           : "{\"status\":\"degraded\"}");
+    if (!completed)
+        std::printf("sweep %s after %d frames%s\n",
+                    runOutcomeName(manifest.outcome),
+                    manifest.frames_completed,
+                    manifest.checkpoint.empty()
+                        ? ""
+                        : " (rerun with --resume to finish)");
 
     TextTable table({"configuration", "L1 hit", "L2 full hit", "TLB hit",
                      "host MB/frame", "retries", "degraded"});
-    for (size_t i = 0; i < legs.size(); ++i) {
-        if (!legs[i])
-            continue; // failed or cancelled before running
-        const LegState &leg = *legs[i];
-        const CacheSim &sim = *leg.runner->sims().front();
+    for (size_t i = 0; i < runner.sims().size(); ++i) {
+        const CacheSim &sim = *runner.sims()[i];
         const CacheFrameStats &t = sim.totals();
         const bool faulty = sim.hostPath() != nullptr;
-        const ManifestEntry &entry = leg.manifest.entries[0];
+        const ManifestEntry &entry = manifest.entries[i];
         const bool dead = entry.quarantined;
         table.addRow(
             {sim.label() + (dead ? " [quarantined]" : ""),
              formatPercent(t.l1HitRate(), 2),
              sim.l2() ? formatPercent(t.l2FullHitRate()) : "-",
              sim.tlb() ? formatPercent(t.tlbHitRate()) : "-",
-             formatDouble(leg.runner->averageHostBytesPerFrame(0) /
-                              (1 << 20),
-                          3),
+             formatDouble(runner.averageHostBytesPerFrame(i) / (1 << 20), 3),
              faulty ? std::to_string(t.host_retries) : "-",
              faulty ? std::to_string(t.degraded_accesses) : "-"});
         if (dead)
@@ -591,16 +454,13 @@ main(int argc, char **argv)
         std::printf("\n3C miss classification (run totals):\n");
         TextTable cls({"configuration", "cache", "compulsory", "capacity",
                        "conflict"});
-        for (const auto &legp : legs) {
-            if (!legp)
-                continue;
-            const CacheSim &sim = *legp->runner->sims().front();
-            const CacheFrameStats &t = sim.totals();
-            cls.addRow({sim.label(), "L1", std::to_string(t.l1_compulsory),
+        for (const auto &sim : runner.sims()) {
+            const CacheFrameStats &t = sim->totals();
+            cls.addRow({sim->label(), "L1", std::to_string(t.l1_compulsory),
                         std::to_string(t.l1_capacity),
                         std::to_string(t.l1_conflict)});
-            if (sim.l2Classifier())
-                cls.addRow({sim.label(), "L2",
+            if (sim->l2Classifier())
+                cls.addRow({sim->label(), "L2",
                             std::to_string(t.l2_compulsory),
                             std::to_string(t.l2_capacity),
                             std::to_string(t.l2_conflict)});
@@ -611,18 +471,15 @@ main(int argc, char **argv)
                     obs_cfg.top_textures);
         TextTable top({"configuration", "tex", "misses", "compulsory",
                        "capacity", "conflict", "host MB"});
-        for (const auto &legp : legs) {
-            if (!legp)
-                continue;
-            const CacheSim &sim = *legp->runner->sims().front();
-            const MissClassifier *mc = sim.l2Classifier()
-                                           ? sim.l2Classifier()
-                                           : sim.l1Classifier();
+        for (const auto &sim : runner.sims()) {
+            const MissClassifier *mc = sim->l2Classifier()
+                                           ? sim->l2Classifier()
+                                           : sim->l1Classifier();
             if (!mc)
                 continue;
             for (const MissAttributionRow &row :
                  mc->topTexturesByTraffic(obs_cfg.top_textures))
-                top.addRow({sim.label(), std::to_string(row.tex),
+                top.addRow({sim->label(), std::to_string(row.tex),
                             std::to_string(row.counts.total()),
                             std::to_string(row.counts.compulsory),
                             std::to_string(row.counts.capacity),
@@ -634,21 +491,20 @@ main(int argc, char **argv)
         top.print();
     }
 
-    if (!legs.empty() && legs[0] && legs[0]->profiler) {
-        const ReuseProfiler &profiler = *legs[0]->profiler;
+    if (profiler) {
         std::printf("\nreuse-distance profile of '%s':\n%s",
-                    legs[0]->runner->sims().front()->label().c_str(),
-                    profiler.asciiMrc().c_str());
+                    runner.sims().front()->label().c_str(),
+                    profiler->asciiMrc().c_str());
         try {
             if (!prof_cli.mrc_out.empty()) {
-                profiler.writeMrc(prof_cli.mrc_out);
+                profiler->writeMrc(prof_cli.mrc_out);
                 std::printf("[mrc] %s.csv %s.ws.csv %s.json\n",
                             prof_cli.mrc_out.c_str(),
                             prof_cli.mrc_out.c_str(),
                             prof_cli.mrc_out.c_str());
             }
             if (!prof_cli.heatmap_out.empty()) {
-                profiler.writeHeatmaps(prof_cli.heatmap_out);
+                profiler->writeHeatmaps(prof_cli.heatmap_out);
                 std::printf("[heatmap] %s.json + PGM maps\n",
                             prof_cli.heatmap_out.c_str());
             }
@@ -659,18 +515,7 @@ main(int argc, char **argv)
         }
     }
 
-    printStageTimes(obs);
-
-    try {
-        obs.close();
-    } catch (const Exception &e) {
-        std::fprintf(stderr, "observability output failed: %s\n",
-                     e.error().describe().c_str());
-        return 1;
-    }
-    if (!obs_cfg.profile_out.empty())
-        std::printf("[profile] %s.folded %s.json\n",
-                    obs_cfg.profile_out.c_str(),
-                    obs_cfg.profile_out.c_str());
-    return all_completed ? 0 : 2;
+    if (const int status = closeObservability(obs, obs_cfg))
+        return status;
+    return completed ? 0 : 2;
 }

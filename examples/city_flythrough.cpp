@@ -30,6 +30,7 @@ main(int argc, char **argv)
             frames = static_cast<int>(cli.getInt("frames", 60));
             l2_mb = static_cast<uint64_t>(cli.getInt("l2-mb", 2));
             snapshot = cli.getString("snapshot", "");
+            cli.rejectUnread();
         }))
         return status;
 

@@ -34,6 +34,7 @@ main(int argc, char **argv)
             checkWorkloadName(name);
             frames = static_cast<int>(cli.getInt("frames", 16));
             snapshot = cli.getString("snapshot", "");
+            cli.rejectUnread();
         }))
         return status;
 

@@ -77,6 +77,7 @@ main(int argc, char **argv)
     ObsConfig obs_cfg;
     ReuseProfilerConfig prof_base;
     HostPathConfig host;
+    bool keep = false;
     if (const int status = parseArguments([&] {
             installIoFaultsFromCli(cli); // --io-faults=eio=R,...,seed=S
             name = cli.getString("workload", "village");
@@ -88,6 +89,8 @@ main(int argc, char **argv)
             obs_cfg = obsFromCli(cli);
             prof_base = mrcFromCli(cli);
             host = hostPathFromCli(cli);
+            keep = cli.getFlag("keep");
+            cli.rejectUnread();
         }))
         return status;
 
@@ -242,7 +245,7 @@ main(int argc, char **argv)
     }
     table.print();
 
-    if (!cli.getFlag("keep")) {
+    if (!keep) {
         std::remove(path.c_str());
         std::printf("(trace deleted; pass --keep to keep it)\n");
     }

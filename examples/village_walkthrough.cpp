@@ -34,6 +34,7 @@ main(int argc, char **argv)
             cfg.filter =
                 parseFilterMode(cli.getString("filter", "trilinear"));
             snapshots = cli.getString("snapshots", "");
+            cli.rejectUnread();
         }))
         return status;
 

@@ -1,20 +1,22 @@
 #!/usr/bin/env sh
-# Bad-argument proof for the example drivers: a malformed flag value
-# must print a typed "[bad-argument] ..." error and exit with the usage
-# status 2, never abort on an uncaught exception (SIGABRT, 134).
+# Bad-argument proof for the example drivers and the benches that take
+# flags: a malformed flag value or a flag the tool does not know must
+# print a typed "[bad-argument] ..." error and exit with the usage
+# status 2, never abort on an uncaught exception (SIGABRT, 134) or run
+# on with the flag ignored.
 #
 # Usage: scripts/check_bad_arguments.sh BUILD_DIR
 # Registered as the ctest case `bad_arguments_script`.
 set -eu
 
-BIN="${1:-$(dirname "$0")/../build}/examples"
+BUILD="${1:-$(dirname "$0")/../build}"
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/mltc_badargs.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT INT TERM
 
 fail=0
 expect_usage() {
     status=0
-    "$BIN/$@" > "$WORK/out.txt" 2> "$WORK/err.txt" || status=$?
+    "$BUILD/$@" > "$WORK/out.txt" 2> "$WORK/err.txt" || status=$?
     if [ "$status" -ne 2 ]; then
         echo "FAIL: $* exited $status, expected 2" >&2
         cat "$WORK/err.txt" >&2
@@ -28,18 +30,25 @@ expect_usage() {
     fi
 }
 
-expect_usage cache_explorer --filter bilinar
-expect_usage cache_explorer --sweep l1 --frames=5q
-expect_usage cache_explorer --sweep l3
-expect_usage cache_explorer --sweep l1 --workload villag
-expect_usage cache_explorer --streams 2 --filter bilinar
-expect_usage cache_explorer --io-faults=eio=2.0
-expect_usage quickstart --workload villag
-expect_usage quickstart --frames=-x
-expect_usage village_walkthrough --frames=5q
-expect_usage village_walkthrough --filter bilinar
-expect_usage city_flythrough --l2-mb=two
-expect_usage record_replay --workload villag
-expect_usage record_replay --frames=5q
+expect_usage examples/cache_explorer --filter bilinar
+expect_usage examples/cache_explorer --sweep l1 --frames=5q
+expect_usage examples/cache_explorer --sweep l3
+expect_usage examples/cache_explorer --sweep l1 --workload villag
+expect_usage examples/cache_explorer --streams 2 --filter bilinar
+expect_usage examples/cache_explorer --io-faults=eio=2.0
+expect_usage examples/quickstart --workload villag
+expect_usage examples/quickstart --frames=-x
+expect_usage examples/village_walkthrough --frames=5q
+expect_usage examples/village_walkthrough --filter bilinar
+expect_usage examples/city_flythrough --l2-mb=two
+expect_usage examples/record_replay --workload villag
+expect_usage examples/record_replay --frames=5q
+expect_usage examples/quickstart --workload village --frames 1 --bogus-flag 3
+expect_usage examples/cache_explorer --sweep l1 --frame 5
+expect_usage examples/cache_explorer --streams 2 --sweep l1
+expect_usage bench/tab03_avg_bandwidth --checkpoint-every=x
+expect_usage bench/fig09_tab02_l1 --bogus-flag
+expect_usage bench/ext_chaos --seed=x
+expect_usage bench/ext_multitenant --frames 4
 
 exit "$fail"

@@ -2,8 +2,8 @@
 # Acceptance check for the parallel sweep executor: every observable
 # output of a parallel run must be byte-identical to the serial run.
 #
-# Runs cache_explorer (stdout, merged metrics JSONL, MRC/working-set
-# CSVs, heatmap JSON, per-leg snapshots, sweep manifest) and three
+# Runs cache_explorer (stdout, metrics JSONL, MRC/working-set CSVs,
+# heatmap JSON, the sweep's snapshot and its manifest) and three
 # representative bench drivers (stdout + CSVs) at --jobs 1 and --jobs 8
 # and byte-compares everything. The only permitted differences are the
 # worker count echoed in the banner and absolute paths, which are
@@ -48,11 +48,11 @@ for f in stdout.txt run.jsonl mrc.csv mrc.ws.csv mrc.json heat.json \
         fail=1
     fi
 done
-for snap in "$WORK"/e1/ckpt.snap.leg*; do
-    if ! cmp -s "$snap" "$WORK/e8/$(basename "$snap")"; then
-        echo "FAIL: snapshot $(basename "$snap") differs"; fail=1
-    fi
-done
+if [ ! -s "$WORK/e1/ckpt.snap" ]; then
+    echo "FAIL: sweep left no checkpoint"; fail=1
+elif ! cmp -s "$WORK/e1/ckpt.snap" "$WORK/e8/ckpt.snap"; then
+    echo "FAIL: sweep checkpoint differs between jobs=1 and jobs=8"; fail=1
+fi
 
 multistream() { # jobs outdir
     mkdir -p "$2"

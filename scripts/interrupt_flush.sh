@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Interrupt-flush end-to-end proof: SIGINT a parallel cache_explorer
 # sweep mid-run and require a graceful landing — the process must exit
-# with the cancelled-sweep status (2, not a signal death), every leg
+# with the cancelled-sweep status (2, not a signal death), the sweep
 # must stop at its next frame boundary, and the partial trace and
-# merged metrics must still be schema-valid (the async-signal-safe
+# metrics must still be schema-valid (the async-signal-safe
 # handler only sets a flag; all flushing happens on the normal exit
 # path, docs/parallelism.md).
 #
@@ -26,16 +26,14 @@ trap 'rm -rf "$WORK"' EXIT INT TERM
     > "$WORK/stdout.txt" 2> "$WORK/stderr.txt" &
 pid=$!
 
-# Interrupt only once the sweep is demonstrably mid-flight: the workers
-# append per-leg metrics rows (m.jsonl.legN) as frames complete, so a
-# non-empty leg file proves at least one frame has run. A fixed sleep
-# here flaked both ways — too short on loaded CI (nothing started yet),
+# Interrupt only once the sweep is demonstrably mid-flight: the runner
+# appends a metrics row to m.jsonl as each frame completes, so a
+# non-empty file proves at least one frame has run. A fixed sleep here
+# flaked both ways — too short on loaded CI (nothing started yet),
 # needlessly slow on fast machines.
 i=0
 while [ "$i" -lt 300 ]; do
-    for leg in "$WORK"/m.jsonl.leg*; do
-        [ -s "$leg" ] && break 2
-    done
+    [ -s "$WORK/m.jsonl" ] && break
     if ! kill -0 "$pid" 2>/dev/null; then
         echo "FAIL: sweep exited before it could be interrupted" >&2
         cat "$WORK/stderr.txt" >&2
@@ -59,18 +57,18 @@ fi
 echo "   interrupted sweep exited 2 (cancelled), as expected"
 
 if ! grep -q "cancelled after" "$WORK/stdout.txt"; then
-    echo "FAIL: no leg reported cancellation:" >&2
+    echo "FAIL: the sweep never reported cancellation:" >&2
     cat "$WORK/stdout.txt" >&2
     exit 1
 fi
-echo "   legs reported cooperative cancellation"
+echo "   sweep reported cooperative cancellation"
 
 # The flushed artifacts must be whole: a schema-valid Chrome trace, a
-# well-formed merged metrics stream, and a renderable partial MRC.
+# well-formed metrics stream, and a renderable partial MRC.
 "$VALIDATE" "$WORK/t.json"
 "$REPORT" --metrics "$WORK/m.jsonl" > /dev/null
 "$REPORT" --mrc "$WORK/mrc.csv" > /dev/null
-echo "   partial trace, merged metrics and MRC are schema-valid"
+echo "   partial trace, metrics and MRC are schema-valid"
 
 # The profiler buffers must land too: the cooperative-exit path writes
 # the profile-so-far, and its folded file diffs cleanly against itself.

@@ -5,9 +5,9 @@
 #  - the Chrome trace to pass the full trace_validate schema check
 #    (balanced B/E pairs, per-thread monotonic timestamps, typed
 #    counter/instant events);
-#  - the metrics JSONL to contain one parseable frame row per frame of
-#    every sweep leg (legs x frames total), carrying the per-frame
-#    L1/L2/TLB counters and the 3C miss-class breakdown;
+#  - the metrics JSONL to contain one parseable frame row per frame,
+#    each carrying every swept configuration's L1/L2/TLB counters
+#    (labelled sim=...) and the 3C miss-class breakdown;
 #  - report --metrics to summarise that stream successfully;
 #  - report compare to exit 0 on a run against itself, 3 against a
 #    shorter run under --threshold 0, and 1 on a missing file;
@@ -25,10 +25,10 @@ FRAMES="${MLTC_FRAMES:-4}"
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/mltc_trace.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT INT TERM
 
-# The l2 sweep runs 5 legs (1..16 MB); --jobs 2 exercises the parallel
-# path — the merged metrics stream carries one frame row per leg-frame
-# and the shared trace writer must stay schema-valid with worker tids.
-LEGS=5
+# The l2 sweep runs 5 configurations (1..16 MB); --jobs 2 exercises the
+# parallel path — the simulators consume on pool workers, so the trace
+# writer must stay schema-valid with worker tids.
+SIMS=5
 echo "== sweep with observability enabled =="
 "$EXPLORER" --sweep l2 --workload village --frames "$FRAMES" --jobs 2 \
     --trace-out "$WORK/run.json" --metrics-out "$WORK/run.jsonl" \
@@ -39,9 +39,13 @@ echo "== trace schema =="
 
 echo "== metrics JSONL =="
 rows="$(grep -c '"frame":' "$WORK/run.jsonl")"
-want=$((LEGS * FRAMES))
-if [ "$rows" -ne "$want" ]; then
-    echo "FAIL: expected $want frame rows ($LEGS legs x $FRAMES frames), found $rows"
+if [ "$rows" -ne "$FRAMES" ]; then
+    echo "FAIL: expected $FRAMES frame rows, found $rows"
+    exit 1
+fi
+sims="$(grep -o '"accesses{sim=[^}]*}' "$WORK/run.jsonl" | sort -u | wc -l)"
+if [ "$sims" -ne "$SIMS" ]; then
+    echo "FAIL: expected rows for $SIMS configurations, found $sims"
     exit 1
 fi
 for key in '"l1.miss{sim=' '"l2.full_miss{sim=' '"tlb.probe{sim=' \

@@ -5,14 +5,77 @@
 
 #include "obs/stage.hpp"
 #include "raster/access_sink.hpp"
+#include "sim/span_pipe.hpp"
 #include "util/log.hpp"
 #include "util/serializer.hpp"
+#include "util/table.hpp"
 
 namespace mltc {
 
+std::vector<SweepCandidate>
+sweepCandidates(const std::string &sweep, const HostPathConfig &host,
+                bool classify_misses)
+{
+    auto withHost = [&](CacheSimConfig sc) {
+        sc.host = host;
+        sc.classify_misses = classify_misses;
+        return sc;
+    };
+
+    std::vector<SweepCandidate> candidates;
+    if (sweep == "l1") {
+        for (uint64_t kb : {1u, 2u, 4u, 8u, 16u, 32u, 64u})
+            candidates.push_back({withHost(CacheSimConfig::pull(kb * 1024)),
+                                  std::to_string(kb) + " KB L1 (pull)"});
+    } else if (sweep == "l2") {
+        for (uint64_t mb : {1u, 2u, 4u, 8u, 16u})
+            candidates.push_back(
+                {withHost(CacheSimConfig::twoLevel(2 * 1024, mb << 20)),
+                 std::to_string(mb) + " MB L2"});
+    } else if (sweep == "l2tile") {
+        for (uint32_t tile : {8u, 16u, 32u})
+            candidates.push_back(
+                {withHost(
+                     CacheSimConfig::twoLevel(2 * 1024, 2ull << 20, tile)),
+                 std::to_string(tile) + "x" + std::to_string(tile) +
+                     " L2 tiles"});
+    } else if (sweep == "tlb") {
+        for (uint32_t entries : {1u, 2u, 4u, 8u, 16u, 32u}) {
+            CacheSimConfig sc =
+                withHost(CacheSimConfig::twoLevel(2 * 1024, 2ull << 20));
+            sc.tlb_entries = entries;
+            candidates.push_back(
+                {sc, std::to_string(entries) + "-entry TLB"});
+        }
+    } else if (sweep == "policy") {
+        for (auto p : {ReplacementPolicy::Clock, ReplacementPolicy::Lru,
+                       ReplacementPolicy::Fifo, ReplacementPolicy::Random}) {
+            CacheSimConfig sc =
+                withHost(CacheSimConfig::twoLevel(2 * 1024, 2ull << 20));
+            sc.l2.policy = p;
+            candidates.push_back({sc, replacementPolicyName(p)});
+        }
+    } else if (sweep == "faults") {
+        for (double rate : {0.0, 0.01, 0.05, 0.1, 0.2, 0.4}) {
+            CacheSimConfig sc =
+                withHost(CacheSimConfig::twoLevel(2 * 1024, 2ull << 20));
+            sc.host.fault_injection = true;
+            sc.host.faults.drop_rate = rate;
+            sc.host.faults.corrupt_rate = rate / 2.0;
+            candidates.push_back({sc, formatPercent(rate, 0) + " fault rate"});
+        }
+    } else {
+        throw Exception(ErrorCode::BadArgument,
+                        "--sweep: unknown sweep '" + sweep +
+                            "' (expected l1|l2|l2tile|tlb|policy|faults)");
+    }
+    return candidates;
+}
+
 MultiConfigRunner::MultiConfigRunner(Workload &workload,
-                                     const DriverConfig &config)
-    : workload_(workload), config_(config)
+                                     const DriverConfig &config,
+                                     ThreadPool *pool)
+    : workload_(workload), config_(config), pool_(pool)
 {
 }
 
@@ -540,12 +603,21 @@ MultiConfigRunner::runSupervised(const ResilienceConfig &rc,
 
     int current_frame = 0;
     std::vector<std::unique_ptr<GuardedSink>> guards;
-    guards.reserve(sims_.size());
+    // With a pool each simulator drains its own pipe on a worker. The
+    // pipes are destroyed before the guards they feed, each once its
+    // last queued drain task has run.
+    std::vector<std::unique_ptr<SpanPipe>> pipes;
     FanoutSink fanout;
     for (size_t i = 0; i < sims_.size(); ++i) {
         guards.push_back(std::make_unique<GuardedSink>(
             *sims_[i], quarantine_, i, current_frame));
-        fanout.add(guards.back().get());
+        if (!pool_) {
+            fanout.add(guards.back().get());
+            continue;
+        }
+        pipes.push_back(std::make_unique<SpanPipe>(
+            *guards.back(), pool_, annotate("leg:" + sims_[i]->label())));
+        fanout.add(pipes.back().get());
     }
     if (working_sets_)
         fanout.add(working_sets_.get());
@@ -573,10 +645,13 @@ MultiConfigRunner::runSupervised(const ResilienceConfig &rc,
         {
             Stage frame_stage("frame", "frame");
             const Camera cam = workload_.cameraAtFrame(frame, frames, aspect);
-            harvestRow(frame,
-                       raster.renderFrame(workload_.scene, cam,
-                                          *workload_.textures),
-                       cb);
+            const FrameStats fs =
+                raster.renderFrame(workload_.scene, cam, *workload_.textures);
+            // The guards catch what a simulator throws, so finish()
+            // has nothing to rethrow.
+            for (auto &pipe : pipes)
+                pipe->finish();
+            harvestRow(frame, fs, cb);
         }
 
         // Invariant audits at the frame boundary: a violating simulator

@@ -2,11 +2,15 @@
  * @file
  * One-pass multi-configuration simulation.
  *
- * Rasterization dominates runtime, so each frame's access stream is
- * generated once and fanned out to every registered consumer: cache
- * simulators (CacheSim and friends), the working-set statistics
- * collector and the push-architecture model. This is how all the
- * parameter sweeps (Figures 9/10, Tables 2/3/5-8) are produced.
+ * Each frame's access stream is generated once and fanned out to every
+ * registered consumer: cache simulators (CacheSim and friends), the
+ * working-set statistics collector and the push-architecture model.
+ * This is how all the parameter sweeps (Figures 9/10, Tables 2/3/5-8)
+ * and `cache_explorer --sweep` are produced.
+ *
+ * Given a ThreadPool, each simulator is fed through its own SpanPipe
+ * and consumes on a pool worker; every pipe is finished before the
+ * frame is harvested, so all outputs match a run without a pool.
  */
 #ifndef MLTC_SIM_MULTI_CONFIG_RUNNER_HPP
 #define MLTC_SIM_MULTI_CONFIG_RUNNER_HPP
@@ -26,6 +30,8 @@
 #include "util/error.hpp"
 
 namespace mltc {
+
+class ThreadPool;
 
 /** Everything measured for one frame across all registered consumers. */
 struct FrameRow
@@ -53,6 +59,23 @@ struct SimQuarantine
     int revive_at_frame = -1; ///< scheduled restart frame (-1 = none)
 };
 
+/** One configuration a `cache_explorer --sweep` visits. */
+struct SweepCandidate
+{
+    CacheSimConfig config;
+    std::string label;
+};
+
+/**
+ * The configurations `cache_explorer --sweep NAME` visits
+ * (l1|l2|l2tile|tlb|policy|faults), each over @p host and with
+ * @p classify_misses applied.
+ * @throws mltc::Exception (BadArgument) for an unknown sweep name.
+ */
+std::vector<SweepCandidate> sweepCandidates(const std::string &sweep,
+                                            const HostPathConfig &host,
+                                            bool classify_misses);
+
 /** Owns the consumers and runs the animation once. */
 class MultiConfigRunner
 {
@@ -61,8 +84,12 @@ class MultiConfigRunner
      * @param workload the scene/animation to drive (must outlive the
      *        runner; its TextureManager is shared by all consumers)
      * @param config frame count, filter, resolution
+     * @param pool borrowed workers the simulators consume on (null: the
+     *        rasterizer's thread feeds them directly). The working-set,
+     *        push-model and extra sinks always stay on that thread.
      */
-    MultiConfigRunner(Workload &workload, const DriverConfig &config);
+    MultiConfigRunner(Workload &workload, const DriverConfig &config,
+                      ThreadPool *pool = nullptr);
 
     /** Register a cache simulator; returned reference stays valid. */
     CacheSim &addSim(const CacheSimConfig &config, std::string label);
@@ -171,6 +198,7 @@ class MultiConfigRunner
 
     Workload &workload_;
     DriverConfig config_;
+    ThreadPool *pool_; ///< borrowed; null = consume on the caller
     std::vector<std::unique_ptr<CacheSim>> sims_;
     std::unique_ptr<WorkingSetCollector> working_sets_;
     std::unique_ptr<PushArchitectureModel> push_;

@@ -77,6 +77,7 @@ TextureManager::layout(TextureId tid, TileSpec spec)
 {
     const TextureEntry &e = texture(tid);
     uint64_t key = (static_cast<uint64_t>(tid) << 32) | spec.key();
+    std::lock_guard<std::mutex> lock(layouts_mutex_);
     auto it = layouts_.find(key);
     if (it == layouts_.end()) {
         auto built = std::make_unique<TiledLayout>(

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -91,6 +92,8 @@ class TextureManager
     /**
      * Tiled layout of @p tid under @p spec, built on first use and
      * cached. The reference stays valid for the manager's lifetime.
+     * Safe to call from several threads at once (simulators consuming
+     * one stream on different workers bind through it).
      */
     const TiledLayout &layout(TextureId tid, TileSpec spec);
 
@@ -106,6 +109,7 @@ class TextureManager
 
   private:
     std::vector<TextureEntry> entries_; ///< index = tid - 1
+    std::mutex layouts_mutex_; ///< guards layouts_
     std::map<uint64_t, std::unique_ptr<TiledLayout>> layouts_;
 };
 

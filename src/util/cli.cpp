@@ -44,6 +44,11 @@ CommandLine::CommandLine(int argc, const char *const *argv)
 {
     if (argc > 0)
         program_ = argv[0];
+    auto set = [this](const std::string &key, std::string value) {
+        if (options_.count(key) == 0)
+            order_.push_back(key);
+        options_[key] = std::move(value);
+    };
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (!isOption(arg)) {
@@ -53,76 +58,89 @@ CommandLine::CommandLine(int argc, const char *const *argv)
         std::string body = arg.substr(2);
         auto eq = body.find('=');
         if (eq != std::string::npos) {
-            options_[body.substr(0, eq)] = body.substr(eq + 1);
+            set(body.substr(0, eq), body.substr(eq + 1));
             continue;
         }
         // `--key value` form: consume the next token unless it is itself
         // an option; otherwise this is a bare flag.
         if (i + 1 < argc && !isOption(argv[i + 1])) {
-            options_[body] = argv[++i];
+            set(body, argv[++i]);
         } else {
-            options_[body] = "1";
+            set(body, "1");
         }
     }
+}
+
+const std::string *
+CommandLine::find(const std::string &name) const
+{
+    read_.insert(name);
+    auto it = options_.find(name);
+    return it == options_.end() ? nullptr : &it->second;
 }
 
 bool
 CommandLine::has(const std::string &name) const
 {
-    return options_.count(name) != 0;
+    return find(name) != nullptr;
 }
 
 std::string
 CommandLine::getString(const std::string &name, const std::string &def) const
 {
-    auto it = options_.find(name);
-    return it == options_.end() ? def : it->second;
+    const std::string *v = find(name);
+    return v ? *v : def;
 }
 
 long
 CommandLine::getInt(const std::string &name, long def) const
 {
-    auto it = options_.find(name);
-    if (it == options_.end())
-        return def;
-    return parseLong(name, it->second);
+    const std::string *v = find(name);
+    return v ? parseLong(name, *v) : def;
 }
 
 unsigned long
 CommandLine::getUnsigned(const std::string &name, unsigned long def) const
 {
-    auto it = options_.find(name);
-    if (it == options_.end())
+    const std::string *v = find(name);
+    if (!v)
         return def;
-    const long v = parseLong(name, it->second);
-    if (v < 0)
-        badValue(name, it->second, "must be non-negative");
-    return static_cast<unsigned long>(v);
+    const long n = parseLong(name, *v);
+    if (n < 0)
+        badValue(name, *v, "must be non-negative");
+    return static_cast<unsigned long>(n);
 }
 
 double
 CommandLine::getDouble(const std::string &name, double def) const
 {
-    auto it = options_.find(name);
-    if (it == options_.end())
+    const std::string *v = find(name);
+    if (!v)
         return def;
     errno = 0;
     char *end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        badValue(name, it->second, "not a number");
+    const double d = std::strtod(v->c_str(), &end);
+    if (end == v->c_str() || *end != '\0')
+        badValue(name, *v, "not a number");
     if (errno == ERANGE)
-        badValue(name, it->second, "number out of range");
-    return v;
+        badValue(name, *v, "number out of range");
+    return d;
 }
 
 bool
 CommandLine::getFlag(const std::string &name) const
 {
-    auto it = options_.find(name);
-    if (it == options_.end())
-        return false;
-    return it->second != "0" && it->second != "false";
+    const std::string *v = find(name);
+    return v && *v != "0" && *v != "false";
+}
+
+void
+CommandLine::rejectUnread() const
+{
+    for (const std::string &key : order_)
+        if (read_.count(key) == 0)
+            throw Exception(ErrorCode::BadArgument,
+                            "--" + key + ": unknown flag");
 }
 
 int

@@ -4,7 +4,9 @@
  *
  * Supports `--flag`, `--key=value` and `--key value` forms plus
  * positional arguments. All lookups are typed with defaults so drivers
- * stay one-liners.
+ * stay one-liners. Every lookup records its key, so a driver that has
+ * read all its flags can reject the ones it never asked for
+ * (rejectUnread()); read flags on one thread, before starting workers.
  */
 #ifndef MLTC_UTIL_CLI_HPP
 #define MLTC_UTIL_CLI_HPP
@@ -12,6 +14,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -61,6 +64,15 @@ class CommandLine
     /** Boolean flag: present and not "0"/"false". */
     bool getFlag(const std::string &name) const;
 
+    /**
+     * Reject a flag no lookup has asked for (a misspelt `--frame 5`
+     * would otherwise measure the default). Call it once every flag
+     * has been read.
+     * @throws mltc::Exception (BadArgument) naming the first such flag
+     *         in command-line order.
+     */
+    void rejectUnread() const;
+
     /** Positional arguments in order. */
     const std::vector<std::string> &positional() const { return positional_; }
 
@@ -68,8 +80,13 @@ class CommandLine
     const std::string &program() const { return program_; }
 
   private:
+    /** Look up --name and record that it was asked for. */
+    const std::string *find(const std::string &name) const;
+
     std::string program_;
     std::map<std::string, std::string> options_;
+    std::vector<std::string> order_; ///< option keys in argv order
+    mutable std::set<std::string> read_;
     std::vector<std::string> positional_;
 };
 

@@ -11,9 +11,9 @@
  *  - the final per-leg checkpoint snapshots (.snap bytes), and
  *  - the sweep manifest CSV.
  *
- * Extends the PR 2 resume-equivalence pattern: legs are complete
- * runner passes over their own tiny Workload, exactly how the bench
- * drivers and cache_explorer use the executor.
+ * Extends the resume-equivalence pattern: legs are complete runner
+ * passes over their own tiny Workload, exactly how the bench drivers
+ * use the executor.
  */
 #include <gtest/gtest.h>
 
@@ -185,8 +185,7 @@ runSweep(unsigned jobs, int frames)
                 }
         csv.close();
     }
-    // Merge per-leg metrics JSONL in leg order, exactly like
-    // cache_explorer's --jobs path does.
+    // Merge per-leg metrics JSONL in leg order.
     for (size_t i = 0; i < legs.size(); ++i)
         art.metrics += slurp(base + ".leg" + std::to_string(i) + ".jsonl");
     for (size_t i = 0; i < legs.size(); ++i)

@@ -136,6 +136,48 @@ TEST(CommandLine, FlagValueZeroIsFalse)
     EXPECT_FALSE(cli.getFlag("opt"));
 }
 
+TEST(CommandLine, RejectUnreadNamesTheFirstUnreadFlag)
+{
+    const char *argv[] = {"prog", "--frame", "5", "--frames=3", "--bogus",
+                          "pos"};
+    CommandLine cli(6, argv);
+    EXPECT_EQ(cli.getInt("frames", 0), 3);
+    try {
+        cli.rejectUnread();
+        FAIL() << "an unread flag was accepted";
+    } catch (const Exception &e) {
+        EXPECT_EQ(e.error().code, ErrorCode::BadArgument);
+        EXPECT_EQ(e.error().message, "--frame: unknown flag");
+    }
+    EXPECT_EQ(parseArguments([&] { cli.rejectUnread(); }), 2);
+}
+
+TEST(CommandLine, EveryLookupCountsAsARead)
+{
+    const char *argv[] = {"prog", "--a=1", "--b", "--c=x", "--d=2.5",
+                          "--e=4", "--f"};
+    CommandLine cli(7, argv);
+    cli.getInt("a", 0);
+    cli.getFlag("b");
+    cli.getString("c", "");
+    cli.getDouble("d", 0.0);
+    EXPECT_THROW(cli.rejectUnread(), Exception);
+    cli.getUnsigned("e", 0);
+    EXPECT_TRUE(cli.has("f"));
+    EXPECT_NO_THROW(cli.rejectUnread());
+    // Asking for an absent flag is harmless; positionals are not flags.
+    EXPECT_EQ(cli.getInt("absent", 7), 7);
+    EXPECT_NO_THROW(cli.rejectUnread());
+}
+
+TEST(CommandLine, RejectUnreadAcceptsARepeatedFlagOnceRead)
+{
+    const char *argv[] = {"prog", "--n=1", "--n=2"};
+    CommandLine cli(3, argv);
+    EXPECT_EQ(cli.getInt("n", 0), 2);
+    EXPECT_NO_THROW(cli.rejectUnread());
+}
+
 // --- Rng ----------------------------------------------------------------
 
 TEST(Rng, DeterministicForSameSeed)
