@@ -21,13 +21,17 @@
  *
  * With --telemetry-port the whole record+replay pipeline serves live
  * /metrics, /healthz and /runz (per-leg sweep status) on 127.0.0.1 —
- * scraping never perturbs the recorded or replayed bytes.
+ * scraping never perturbs the recorded or replayed bytes. There is no
+ * per-frame metrics JSONL: --metrics-out is rejected as a bad argument
+ * (exit 2).
  *
  * Recording is a single pass; the replays are independent legs run on
  * the work-stealing pool (--jobs, default MLTC_JOBS env or hardware
  * concurrency — see docs/parallelism.md). Each leg opens its own
  * TraceReader over the recorded clip and replays into its own workload
  * and simulator, so output is byte-identical for any worker count.
+ * Every TraceReader decodes on one helper thread of its own, outside
+ * the pool: --jobs 4 runs four decode threads beside the four workers.
  *
  * With --mrc every replayed configuration carries a reuse-distance
  * profiler; per-candidate outputs are written to `BASE.<config>` bases.
@@ -87,6 +91,12 @@ main(int argc, char **argv)
             resilience = resilienceFromCli(cli);
             jobs = jobsFromCli(cli);
             obs_cfg = obsFromCli(cli);
+            // Each leg replays into its own simulator and no per-leg
+            // metrics JSONL is merged, so the flag would write nothing.
+            if (!obs_cfg.metrics_path.empty())
+                throw Exception(ErrorCode::BadArgument,
+                                "--metrics-out: record_replay writes no "
+                                "metrics JSONL");
             prof_base = mrcFromCli(cli);
             host = hostPathFromCli(cli);
             keep = cli.getFlag("keep");
@@ -95,11 +105,10 @@ main(int argc, char **argv)
         return status;
 
     // Telemetry plane: one process-wide bundle (HTTP server, shared
-    // tracer, flight recorder). Per-leg metrics JSONL is not merged
-    // here, so keep the registry driven by the sweep status only.
+    // tracer, flight recorder); the registry is driven by the sweep
+    // status only.
     std::unique_ptr<Observability> obs;
     try {
-        obs_cfg.metrics_path.clear();
         if (obs_cfg.anyEnabled())
             obs = std::make_unique<Observability>(obs_cfg);
     } catch (const Exception &e) {

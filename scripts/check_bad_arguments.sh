@@ -43,6 +43,7 @@ expect_usage examples/village_walkthrough --filter bilinar
 expect_usage examples/city_flythrough --l2-mb=two
 expect_usage examples/record_replay --workload villag
 expect_usage examples/record_replay --frames=5q
+expect_usage examples/record_replay --metrics-out "$WORK/m.jsonl"
 expect_usage examples/quickstart --workload village --frames 1 --bogus-flag 3
 expect_usage examples/cache_explorer --sweep l1 --frame 5
 expect_usage examples/cache_explorer --streams 2 --sweep l1

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <exception>
 
 #include "util/error.hpp"
 
@@ -348,10 +349,30 @@ TraceWriter::close()
 
 // --- TraceReader ----------------------------------------------------------
 
+namespace {
+
+/**
+ * Ring slots. Eight whole spans (8 x 80 KiB) keep the decode thread far
+ * enough ahead to hide its stalls behind the sink's work.
+ */
+constexpr uint32_t kSlots = 8;
+
+} // namespace
+
+/** One decoded record, as it travels from the decode thread to replay. */
+struct TraceReader::Slot
+{
+    enum Kind : uint8_t { kBind, kSpan, kEndFrame, kTrailer, kError };
+
+    Kind kind = kEndFrame;
+    uint32_t value = 0; ///< bind: texture id; span: ref count
+    std::exception_ptr error;
+    TexelRef refs[kSpanCap];
+};
+
 TraceReader::TraceReader(const std::string &path)
     : file_(std::fopen(path.c_str(), "rb")),
-      window_(std::make_unique<uint8_t[]>(kWindowBytes + kWindowPad)),
-      span_(kSpanCap)
+      window_(std::make_unique<uint8_t[]>(kWindowBytes + kWindowPad))
 {
     // The handle is a member, so a throw below still closes it.
     if (!file_)
@@ -363,6 +384,19 @@ TraceReader::TraceReader(const std::string &path)
         throw Exception(ErrorCode::BadMagic,
                         "TraceReader: bad magic in " + path);
     head_ = sizeof(kMagic);
+    ring_ = std::make_unique<Slot[]>(kSlots);
+    // Last: nothing after this can throw and leave a thread running.
+    decoder_ = std::thread([this] { decodeAhead(); });
+}
+
+TraceReader::~TraceReader()
+{
+    // Moving consumed_ wakes a decode thread blocked on a full ring; it
+    // sees stop_ before it decodes another record.
+    stop_.store(true, std::memory_order_relaxed);
+    consumed_.fetch_add(1, std::memory_order_release);
+    consumed_.notify_one();
+    decoder_.join();
 }
 
 size_t
@@ -389,7 +423,7 @@ TraceReader::fill(size_t n)
 }
 
 void
-TraceReader::readBind(uint64_t at, TexelAccessSink &sink)
+TraceReader::readBind(uint64_t at, Slot &slot)
 {
     const size_t avail = fill(1 + 5);
     const uint8_t *const rec = window_.get() + head_;
@@ -401,11 +435,12 @@ TraceReader::readBind(uint64_t at, TexelAccessSink &sink)
     if (!ok)
         fail(ErrorCode::Corrupt, "corrupt bind", at, "varint too long");
     head_ += static_cast<size_t>(p - rec);
-    sink.bindTexture(tid);
+    slot.kind = Slot::kBind;
+    slot.value = tid;
 }
 
 void
-TraceReader::readSpan(uint64_t at, TexelAccessSink &sink)
+TraceReader::readSpan(uint64_t at, Slot &slot)
 {
     // Header: opcode, ref count, payload length.
     const size_t avail = fill(kMaxSpanHeader);
@@ -430,12 +465,13 @@ TraceReader::readSpan(uint64_t at, TexelAccessSink &sink)
     // fill() may have moved the window: re-derive the payload bounds.
     const uint8_t *const payload = window_.get() + head_ + header;
     const std::string fault =
-        decodeSpan(payload, payload + len, count, span_.data());
+        decodeSpan(payload, payload + len, count, slot.refs);
     if (!fault.empty())
         corruptSpan(at, fault);
     head_ += header + len;
     refs_ += count;
-    sink.accessBatch(std::span<const TexelRef>(span_.data(), count));
+    slot.kind = Slot::kSpan;
+    slot.value = count;
 }
 
 void
@@ -457,37 +493,121 @@ TraceReader::readTrailer(uint64_t at)
     head_ += kTrailerBytes;
     if (fill(1) != 0)
         fail(ErrorCode::Corrupt, "data after trailer", base_ + head_);
-    done_ = true;
+}
+
+void
+TraceReader::decodeRecord(Slot &slot)
+{
+    // `at` names the record's opcode byte in every error.
+    const uint64_t at = base_ + head_;
+    if (fill(1) == 0)
+        fail(ErrorCode::Truncated, "trace ends before its trailer", at);
+    const uint8_t op = window_[head_];
+    switch (op) {
+      case kBind:
+        readBind(at, slot);
+        frame_open_ = true;
+        break;
+      case kSpan:
+        readSpan(at, slot);
+        frame_open_ = true;
+        break;
+      case kEndFrame:
+        ++head_;
+        ++frames_;
+        frame_open_ = false;
+        slot.kind = Slot::kEndFrame;
+        break;
+      case kTrailer:
+        readTrailer(at);
+        slot.kind = Slot::kTrailer;
+        break;
+      default:
+        fail(ErrorCode::BadOpcode, "bad opcode " + std::to_string(op), at);
+    }
+}
+
+void
+TraceReader::decodeAhead()
+{
+    uint32_t written = 0;
+    uint32_t freed = 0; // consumed_ as last loaded
+    for (;;) {
+        while (written - freed == kSlots) {
+            consumed_.wait(freed, std::memory_order_acquire);
+            freed = consumed_.load(std::memory_order_acquire);
+        }
+        if (stop_.load(std::memory_order_relaxed))
+            return;
+        Slot &slot = ring_[written % kSlots];
+        try {
+            decodeRecord(slot);
+        } catch (...) {
+            slot.kind = Slot::kError;
+            slot.error = std::current_exception();
+        }
+        const bool last =
+            slot.kind == Slot::kTrailer || slot.kind == Slot::kError;
+        produced_.store(++written, std::memory_order_release);
+        produced_.notify_one();
+        if (last)
+            return;
+    }
+}
+
+TraceReader::Slot &
+TraceReader::nextSlot()
+{
+    while (read_ == ready_) {
+        ready_ = produced_.load(std::memory_order_acquire);
+        if (read_ == ready_)
+            produced_.wait(read_, std::memory_order_acquire);
+    }
+    return ring_[read_ % kSlots];
+}
+
+void
+TraceReader::releaseSlot()
+{
+    consumed_.store(++read_, std::memory_order_release);
+    // A decode thread blocks only on a full ring; wake it once half the
+    // ring is free, so it refills several slots per wake-up.
+    if (produced_.load(std::memory_order_acquire) - read_ == kSlots / 2)
+        consumed_.notify_one();
 }
 
 bool
 TraceReader::replayFrame(TexelAccessSink &sink)
 {
     while (!done_) {
-        // `at` names the record's opcode byte in every error.
-        const uint64_t at = base_ + head_;
-        if (fill(1) == 0)
-            fail(ErrorCode::Truncated, "trace ends before its trailer", at);
-        const uint8_t op = window_[head_];
-        switch (op) {
-          case kBind:
-            readBind(at, sink);
-            frame_open_ = true;
+        Slot &slot = nextSlot();
+        switch (slot.kind) {
+          case Slot::kError:
+            // Kept in the ring: every later call rethrows it.
+            std::rethrow_exception(slot.error);
+          case Slot::kTrailer:
+            done_ = true;
+            releaseSlot();
             break;
-          case kSpan:
-            readSpan(at, sink);
-            frame_open_ = true;
-            break;
-          case kEndFrame:
-            ++head_;
-            ++frames_;
-            frame_open_ = false;
+          case Slot::kEndFrame:
+            releaseSlot();
             return true;
-          case kTrailer:
-            readTrailer(at);
+          case Slot::kBind:
+          case Slot::kSpan: {
+            // Released even when the sink throws, so the next call
+            // resumes after this record.
+            struct Release
+            {
+                TraceReader &reader;
+                ~Release() { reader.releaseSlot(); }
+            } release{*this};
+            if (slot.kind == Slot::kBind)
+                sink.bindTexture(slot.value);
+            else
+                sink.accessBatch(
+                    std::span<const TexelRef>(slot.refs, slot.value));
             break;
-          default:
-            fail(ErrorCode::BadOpcode, "bad opcode " + std::to_string(op), at);
+          }
         }
     }
     return false;

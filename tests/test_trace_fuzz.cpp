@@ -4,13 +4,18 @@
  * truncations at every byte, bit flips, random opcode soup, and
  * hand-built corrupt spans and trailers. Every malformed input must
  * yield a clean, typed mltc::Exception naming the offending offset or
- * opcode — never a crash, an infinite loop, a silently shortened
- * trace, or a leaked file handle.
+ * opcode, once every record before the fault has been delivered and
+ * none after it — never a crash, an infinite loop, a silently
+ * shortened trace, a leaked file handle or a leaked thread.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
+#include <optional>
+#include <string>
 #include <unistd.h>
 #include <vector>
 
@@ -97,6 +102,50 @@ validTraceBytes()
     return bytes;
 }
 
+/**
+ * One past the last byte of each record of validTraceBytes() before the
+ * trailer; every record replays as one event.
+ */
+constexpr size_t kRecordEnds[] = {10, 30, 32, 39, 40, 42, 48, 49};
+
+/** Number of records of validTraceBytes() that end by @p offset. */
+size_t
+recordsBefore(size_t offset)
+{
+    size_t n = 0;
+    for (size_t end : kRecordEnds)
+        n += end <= offset;
+    return n;
+}
+
+/** Logs each bind, span (its ref bytes) and frame end, one per record. */
+class EventLog final : public TexelAccessSink
+{
+  public:
+    void
+    bindTexture(TextureId tid) override
+    {
+        events.push_back("bind " + std::to_string(tid));
+    }
+
+    void
+    accessBatch(std::span<const TexelRef> refs) override
+    {
+        events.push_back(
+            "span " + std::string(reinterpret_cast<const char *>(refs.data()),
+                                  refs.size_bytes()));
+    }
+
+    std::vector<std::string> events;
+};
+
+/** What a replay delivered before it ended, and the error it ended on. */
+struct Replayed
+{
+    std::vector<std::string> events;
+    std::optional<Exception> error;
+};
+
 /** The trace magic followed by hand-built @p records. */
 std::vector<unsigned char>
 withMagic(std::initializer_list<unsigned char> records)
@@ -118,33 +167,64 @@ writeBytes(const std::string &path, const std::vector<unsigned char> &bytes)
     ASSERT_EQ(std::fclose(f), 0);
 }
 
-/**
- * Replay @p bytes; the only acceptable outcomes are clean completion or
- * a typed mltc::Exception with a non-empty message.
- */
-void
-replayExpectingCleanOutcome(const std::vector<unsigned char> &bytes,
-                            const std::string &path)
-{
-    writeBytes(path, bytes);
-    try {
-        TraceReader reader(path);
-        CountingSink sink;
-        reader.replayAll(sink);
-    } catch (const Exception &e) {
-        EXPECT_NE(e.code(), ErrorCode::None);
-        EXPECT_FALSE(std::string(e.what()).empty());
-    }
-    // Any other exception type (or a crash/hang) fails the test.
-    std::remove(path.c_str());
-}
-
 size_t
 openFdCount()
 {
     size_t n = 0;
     for (const auto &entry :
          std::filesystem::directory_iterator("/proc/self/fd"))
+        (void)entry, ++n;
+    return n;
+}
+
+/**
+ * Replay @p bytes, logging frame ends as events too. The only
+ * acceptable outcomes are clean completion or a typed mltc::Exception
+ * with a message; any other exception type (or a crash or hang) fails
+ * the test. A replay error must stick: a second replayFrame() call
+ * rethrows it and delivers nothing.
+ */
+Replayed
+replayLogged(const std::vector<unsigned char> &bytes, const char *name)
+{
+    const std::string path = tempPath(name);
+    writeBytes(path, bytes);
+    Replayed out;
+    EventLog log;
+    try {
+        TraceReader reader(path);
+        try {
+            while (reader.replayFrame(log))
+                log.events.push_back("end of frame");
+        } catch (const Exception &e) {
+            out.error = e;
+            const size_t delivered = log.events.size();
+            try {
+                reader.replayFrame(log);
+                ADD_FAILURE() << "replay went on after: " << e.what();
+            } catch (const Exception &again) {
+                EXPECT_STREQ(again.what(), e.what());
+            }
+            EXPECT_EQ(log.events.size(), delivered);
+        }
+    } catch (const Exception &e) {
+        out.error = e; // from the constructor
+    }
+    if (out.error) {
+        EXPECT_NE(out.error->code(), ErrorCode::None);
+        EXPECT_FALSE(std::string(out.error->what()).empty());
+    }
+    std::remove(path.c_str());
+    out.events = std::move(log.events);
+    return out;
+}
+
+size_t
+threadCount()
+{
+    size_t n = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task"))
         (void)entry, ++n;
     return n;
 }
@@ -172,7 +252,7 @@ TEST(TraceFuzz, TruncationAtEveryByteIsClean)
 {
     // The whole trace replays; every strict prefix lacks the trailer,
     // so every one must fail as Truncated — a cut at a record boundary
-    // included.
+    // included — after delivering exactly the records before the cut.
     const std::vector<unsigned char> bytes = validTraceBytes();
     const std::string path = tempPath("fuzz_whole.bin");
     writeBytes(path, bytes);
@@ -183,11 +263,19 @@ TEST(TraceFuzz, TruncationAtEveryByteIsClean)
         EXPECT_EQ(sink.events, 3u + 2u * 4u + 3u); // binds, quads, texels
     }
     std::remove(path.c_str());
+    const Replayed whole = replayLogged(bytes, "fuzz_whole.bin");
+    ASSERT_FALSE(whole.error.has_value()) << whole.error->what();
+    ASSERT_EQ(whole.events.size(), std::size(kRecordEnds));
     for (size_t len = 0; len < bytes.size(); ++len) {
-        const Exception e = replayError(
+        const Replayed cut = replayLogged(
             {bytes.begin(), bytes.begin() + static_cast<long>(len)},
             "fuzz_trunc.bin");
-        EXPECT_EQ(e.code(), ErrorCode::Truncated) << "prefix " << len;
+        ASSERT_TRUE(cut.error.has_value()) << "prefix " << len;
+        EXPECT_EQ(cut.error->code(), ErrorCode::Truncated) << "prefix " << len;
+        const std::vector<std::string> before(
+            whole.events.begin(),
+            whole.events.begin() + static_cast<long>(recordsBefore(len)));
+        EXPECT_EQ(cut.events, before) << "prefix " << len;
     }
 }
 
@@ -310,13 +398,25 @@ TEST(TraceFuzz, VersionOneTraceIsBadMagic)
 
 TEST(TraceFuzz, BitFlipAtEveryByteIsClean)
 {
+    // A flip ends in a typed error or, inside a payload, in other refs;
+    // either way every record before the flipped byte arrives intact,
+    // and nothing arrives after an error.
     const std::vector<unsigned char> bytes = validTraceBytes();
-    const std::string path = tempPath("fuzz_flip.bin");
+    const Replayed whole = replayLogged(bytes, "fuzz_flip.bin");
+    ASSERT_EQ(whole.events.size(), std::size(kRecordEnds));
     for (size_t i = 0; i < bytes.size(); ++i)
         for (int mask : {0x01, 0x80, 0xff}) {
             std::vector<unsigned char> mutated = bytes;
             mutated[i] = static_cast<unsigned char>(mutated[i] ^ mask);
-            replayExpectingCleanOutcome(mutated, path);
+            const Replayed flipped = replayLogged(mutated, "fuzz_flip.bin");
+            const size_t intact = recordsBefore(i);
+            ASSERT_GE(flipped.events.size(), intact)
+                << "byte " << i << " mask " << mask;
+            EXPECT_TRUE(std::equal(whole.events.begin(),
+                                   whole.events.begin() +
+                                       static_cast<long>(intact),
+                                   flipped.events.begin()))
+                << "byte " << i << " mask " << mask;
         }
 }
 
@@ -338,14 +438,13 @@ TEST(TraceFuzz, FlippedMagicIsBadMagic)
 TEST(TraceFuzz, RandomOpcodeSoupTerminatesCleanly)
 {
     const std::vector<unsigned char> valid = validTraceBytes();
-    const std::string path = tempPath("fuzz_soup.bin");
     Rng rng(0xf00d);
     for (int round = 0; round < 200; ++round) {
         std::vector<unsigned char> bytes(valid.begin(), valid.begin() + 8);
         const size_t body = rng.below(96);
         for (size_t i = 0; i < body; ++i)
             bytes.push_back(static_cast<unsigned char>(rng.below(256)));
-        replayExpectingCleanOutcome(bytes, path);
+        replayLogged(bytes, "fuzz_soup.bin");
     }
 }
 
@@ -366,6 +465,27 @@ TEST(TraceFuzz, FailedConstructionLeaksNoHandles)
         EXPECT_THROW(TraceReader r(short_hdr), Exception);
     }
     EXPECT_EQ(openFdCount(), before);
+    std::remove(bad_magic.c_str());
+    std::remove(short_hdr.c_str());
+}
+
+TEST(TraceFuzz, FailedConstructionStartsNoThread)
+{
+    // The decode thread starts only once the header checks pass.
+    std::vector<unsigned char> bad = validTraceBytes();
+    bad[0] ^= 0xff;
+    const std::string bad_magic = tempPath("fuzz_thread_magic.bin");
+    writeBytes(bad_magic, bad);
+    const std::string short_hdr = tempPath("fuzz_thread_hdr.bin");
+    writeBytes(short_hdr, {'M', 'L', 'T'});
+
+    const size_t before = threadCount();
+    for (int i = 0; i < 200; ++i) {
+        EXPECT_THROW(TraceReader r(bad_magic), Exception);
+        EXPECT_THROW(TraceReader r(short_hdr), Exception);
+        EXPECT_THROW(TraceReader r("/nonexistent/trace.bin"), Exception);
+    }
+    EXPECT_EQ(threadCount(), before);
     std::remove(bad_magic.c_str());
     std::remove(short_hdr.c_str());
 }

@@ -1,15 +1,24 @@
 /**
  * @file
- * Round-trip tests for the access trace recorder/replayer, and the
- * trace-replay differential: a recorded and replayed run must equal the
- * rasterized run it was recorded from — stats, MRC and heatmaps.
+ * Round-trip and lifecycle tests for the access trace recorder/replayer,
+ * and the trace-replay differentials: replaying a recorded clip must
+ * hand the sink the call sequence the writer was given, and a recorded
+ * and replayed run must equal the rasterized run it was recorded from —
+ * stats, MRC and heatmaps.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
+#include <stdexcept>
+#include <thread>
 #include <unistd.h>
 
 #include "core/cache_sim.hpp"
@@ -59,37 +68,120 @@ class RecordingSink final : public TexelAccessSink
     std::vector<Ev> events;
 };
 
-/** Sink keeping each replayed span whole, binds in between. */
-class SpanSink final : public TexelAccessSink
+/**
+ * Every sink call in order — binds, batches (their sizes and refs) and
+ * frame ends — and the thread each arrived on. Calls are forwarded to
+ * @p next when one is given.
+ */
+class CallLog final : public TexelAccessSink
 {
   public:
+    enum Kind : uint32_t { kBind, kBatch, kEndFrame };
+
+    struct Call
+    {
+        Kind kind = kBind;
+        uint32_t value = 0; ///< bind: texture id; batch: ref count
+
+        bool operator==(const Call &o) const = default;
+    };
+
+    explicit CallLog(TexelAccessSink *next = nullptr) : next_(next) {}
+
     void
     bindTexture(TextureId tid) override
     {
-        binds.push_back({refs.size(), tid});
+        onCall();
+        calls.push_back({kBind, tid});
+        if (next_)
+            next_->bindTexture(tid);
     }
-
-    void access(uint32_t, uint32_t, uint32_t) override { FAIL(); }
 
     void
     accessBatch(std::span<const TexelRef> span) override
     {
-        ++batches;
-        max_batch = std::max(max_batch, span.size());
+        onCall();
+        calls.push_back({kBatch, static_cast<uint32_t>(span.size())});
         refs.insert(refs.end(), span.begin(), span.end());
+        if (next_)
+            next_->accessBatch(span);
     }
 
-    std::vector<std::pair<size_t, TextureId>> binds; ///< (ref offset, tid)
+    void endFrame() { calls.push_back({kEndFrame, 0}); }
+
+    std::vector<Call> calls;
     std::vector<TexelRef> refs;
-    size_t batches = 0;
-    size_t max_batch = 0;
+    size_t foreign_calls = 0; ///< calls from another thread than the log's
+
+  private:
+    void
+    onCall()
+    {
+        foreign_calls += std::this_thread::get_id() != owner_;
+    }
+
+    TexelAccessSink *next_;
+    std::thread::id owner_ = std::this_thread::get_id();
 };
 
-bool
-sameRef(const TexelRef &a, const TexelRef &b)
+/**
+ * The calls a replay of what @p given saw must make: the same binds,
+ * frame ends and refs, with the refs between two of them cut into
+ * batches of at most 4096 as TraceWriter stores them.
+ */
+std::vector<CallLog::Call>
+recutAtTheSpanCap(const std::vector<CallLog::Call> &given)
 {
-    return a.x0 == b.x0 && a.y0 == b.y0 && a.x1 == b.x1 && a.y1 == b.y1 &&
-           a.mip == b.mip && a.kind == b.kind;
+    constexpr uint32_t kCap = 4096;
+    std::vector<CallLog::Call> want;
+    uint32_t open = 0;
+    for (const CallLog::Call &c : given) {
+        if (c.kind == CallLog::kBatch) {
+            for (open += c.value; open >= kCap; open -= kCap)
+                want.push_back({CallLog::kBatch, kCap});
+            continue;
+        }
+        if (open > 0)
+            want.push_back({CallLog::kBatch, open});
+        open = 0;
+        want.push_back(c);
+    }
+    if (open > 0)
+        want.push_back({CallLog::kBatch, open});
+    return want;
+}
+
+/**
+ * Replay the trace at @p path and check that it makes exactly the calls
+ * @p given saw, re-cut at the span cap, with the same ref bytes, all on
+ * the replaying thread. @return the replayed calls.
+ */
+std::vector<CallLog::Call>
+expectReplayMakesCalls(const std::string &path, const CallLog &given,
+                       const std::string &ctx)
+{
+    CallLog replayed;
+    {
+        TraceReader reader(path);
+        while (reader.replayFrame(replayed))
+            replayed.endFrame();
+    }
+    const std::vector<CallLog::Call> want = recutAtTheSpanCap(given.calls);
+    const auto [got, wanted] = std::mismatch(
+        replayed.calls.begin(), replayed.calls.end(), want.begin(), want.end());
+    EXPECT_TRUE(got == replayed.calls.end() && wanted == want.end())
+        << ctx << ": call " << (got - replayed.calls.begin()) << " of "
+        << want.size() << " differs";
+    EXPECT_EQ(replayed.refs.size(), given.refs.size()) << ctx;
+    if (replayed.refs.size() == given.refs.size()) {
+        EXPECT_EQ(std::memcmp(replayed.refs.data(), given.refs.data(),
+                              given.refs.size() * sizeof(TexelRef)),
+                  0)
+            << ctx << ": ref bytes differ";
+    }
+    EXPECT_EQ(replayed.foreign_calls, 0u)
+        << ctx << ": the sink was called off the replaying thread";
+    return replayed.calls;
 }
 
 // PID-suffixed: ctest runs each test case as its own process, possibly
@@ -194,43 +286,39 @@ TEST(TraceIo, SpansRoundTripVerbatimAcrossTheSpanCap)
     // cap and at every bind, and every TexelRef comes back verbatim.
     std::string path = tempTrace("trace_spans.bin");
     Rng rng(77);
-    std::vector<TexelRef> sent;
-    std::vector<std::pair<size_t, TextureId>> sent_binds;
-    {
-        TraceWriter w(path);
-        std::vector<TexelRef> chunk;
-        for (int frame = 0; frame < 3; ++frame) {
-            for (TextureId tid = 1; tid <= 2; ++tid) {
-                w.bindTexture(tid);
-                sent_binds.push_back({sent.size(), tid});
-                chunk.clear();
-                for (int i = 0; i < 10000; ++i) {
-                    const auto x = static_cast<uint32_t>(rng.below(1u << 20));
-                    const auto y = static_cast<uint32_t>(rng.below(1u << 20));
-                    const auto mip = static_cast<uint32_t>(rng.below(40));
-                    const uint64_t pick = rng.below(4);
-                    chunk.push_back(
-                        pick == 0   ? TexelRef::pixel(x, y)
-                        : pick == 1 ? TexelRef::texel(x, y, mip)
-                        : pick == 2 ? TexelRef::quad(x, y, x + 1, y + 1, mip)
-                                    : TexelRef::quad(x, y, 0, y + 1, mip));
-                }
-                w.accessBatch(chunk);
-                sent.insert(sent.end(), chunk.begin(), chunk.end());
+    TraceWriter w(path);
+    CallLog given(&w);
+    std::vector<TexelRef> chunk;
+    for (int frame = 0; frame < 3; ++frame) {
+        for (TextureId tid = 1; tid <= 2; ++tid) {
+            given.bindTexture(tid);
+            chunk.clear();
+            for (int i = 0; i < 10000; ++i) {
+                const auto x = static_cast<uint32_t>(rng.below(1u << 20));
+                const auto y = static_cast<uint32_t>(rng.below(1u << 20));
+                const auto mip = static_cast<uint32_t>(rng.below(40));
+                const uint64_t pick = rng.below(4);
+                chunk.push_back(
+                    pick == 0   ? TexelRef::pixel(x, y)
+                    : pick == 1 ? TexelRef::texel(x, y, mip)
+                    : pick == 2 ? TexelRef::quad(x, y, x + 1, y + 1, mip)
+                                : TexelRef::quad(x, y, 0, y + 1, mip));
             }
-            w.endFrame();
+            given.accessBatch(chunk);
         }
-        w.close();
+        w.endFrame();
+        given.endFrame();
     }
-    TraceReader r(path);
-    SpanSink sink;
-    EXPECT_EQ(r.replayAll(sink), 3u);
-    EXPECT_EQ(sink.binds, sent_binds);
-    ASSERT_EQ(sink.refs.size(), sent.size());
-    for (size_t i = 0; i < sent.size(); ++i)
-        ASSERT_TRUE(sameRef(sink.refs[i], sent[i])) << "ref " << i;
-    EXPECT_EQ(sink.max_batch, 4096u);
-    EXPECT_EQ(sink.batches, 6u * 3u); // ceil(10000 / 4096) per bind
+    w.close();
+    const std::vector<CallLog::Call> calls =
+        expectReplayMakesCalls(path, given, "random refs");
+    // ceil(10000 / 4096) spans per bind: 4096, 4096, 1808.
+    EXPECT_EQ(std::count(calls.begin(), calls.end(),
+                         CallLog::Call{CallLog::kBatch, 4096}),
+              2 * 2 * 3);
+    EXPECT_EQ(std::count(calls.begin(), calls.end(),
+                         CallLog::Call{CallLog::kBatch, 1808}),
+              2 * 3);
     std::remove(path.c_str());
 }
 
@@ -347,7 +435,147 @@ TEST(TraceIo, TruncatedAccessThrows)
     std::remove(path.c_str());
 }
 
-// --- Trace-replay differential --------------------------------------------
+// --- Reader lifecycle ------------------------------------------------------
+
+size_t
+threadCount()
+{
+    size_t n = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        (void)entry, ++n;
+    return n;
+}
+
+/**
+ * The thread count once it has dropped to @p want, or after two
+ * seconds. A joined thread can linger in /proc/self/task for a moment
+ * after pthread_join() returns.
+ */
+size_t
+settledThreadCount(size_t want)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    size_t n = threadCount();
+    while (n > want && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        n = threadCount();
+    }
+    return n;
+}
+
+/**
+ * A clip of @p frames frames, each @p spans binds with a one-ref span
+ * after each; the ref of a frame's span i is a texel at (i, frame).
+ */
+void
+writeSpanClip(const std::string &path, int frames, int spans)
+{
+    TraceWriter w(path);
+    for (int f = 0; f < frames; ++f) {
+        for (int i = 0; i < spans; ++i) {
+            w.bindTexture(static_cast<TextureId>(i));
+            w.access(static_cast<uint32_t>(i), static_cast<uint32_t>(f), 0);
+        }
+        w.endFrame();
+    }
+    w.close();
+}
+
+TEST(TraceIo, ReaderDestroyedMidClipStopsItsDecodeThread)
+{
+    // 12 frames of 20 records each: after frame 1 the decode thread
+    // fills the ring and blocks on it, and destroying the reader must
+    // wake and join it.
+    const std::string path = tempTrace("trace_midclip.bin");
+    writeSpanClip(path, 12, 10);
+    NullSink sink;
+    // A sanitizer runtime may start a helper thread of its own along
+    // with the first thread of the process: count once one reader has
+    // come and gone.
+    const size_t initial = threadCount();
+    TraceReader(path).replayAll(sink);
+    const size_t before = settledThreadCount(initial);
+    auto reader = std::make_unique<TraceReader>(path);
+    ASSERT_TRUE(reader->replayFrame(sink));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(threadCount(), before + 1) << "no decode thread running";
+    const auto t0 = std::chrono::steady_clock::now();
+    reader.reset();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+
+    for (int i = 0; i < 200; ++i) {
+        TraceReader r(path);
+        EXPECT_TRUE(r.replayFrame(sink));
+    }
+    EXPECT_EQ(settledThreadCount(before), before);
+    std::remove(path.c_str());
+}
+
+/** Logs the ref of each span; throws from the one numbered throw_at. */
+class ThrowingSink final : public TexelAccessSink
+{
+  public:
+    explicit ThrowingSink(size_t throw_at) : throw_at_(throw_at) {}
+
+    void bindTexture(TextureId) override {}
+
+    void
+    accessBatch(std::span<const TexelRef> refs) override
+    {
+        if (spans_++ == throw_at_) {
+            thrown = std::make_exception_ptr(std::runtime_error("sink"));
+            std::rethrow_exception(thrown);
+        }
+        xs.push_back(refs[0].x0);
+    }
+
+    std::exception_ptr thrown;
+    std::vector<uint32_t> xs;
+
+  private:
+    size_t throw_at_;
+    size_t spans_ = 0;
+};
+
+TEST(TraceIo, SinkExceptionLeavesReplayAfterItsSpan)
+{
+    const std::string path = tempTrace("trace_sink_throw.bin");
+    writeSpanClip(path, 1, 12);
+    TraceReader r(path);
+    ThrowingSink sink(5);
+    try {
+        r.replayFrame(sink);
+        FAIL() << "the sink's exception did not leave replayFrame";
+    } catch (...) {
+        EXPECT_TRUE(std::current_exception() == sink.thrown)
+            << "replayFrame threw another exception object";
+    }
+    EXPECT_EQ(sink.xs, (std::vector<uint32_t>{0, 1, 2, 3, 4}));
+    EXPECT_TRUE(r.replayFrame(sink)); // resumes at span 6
+    EXPECT_EQ(sink.xs,
+              (std::vector<uint32_t>{0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11}));
+    EXPECT_FALSE(r.replayFrame(sink));
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, ReplayStaysFinishedAfterTheTrailer)
+{
+    const std::string path = tempTrace("trace_finished.bin");
+    writeSpanClip(path, 3, 4);
+    TraceReader r(path);
+    RecordingSink sink;
+    EXPECT_EQ(r.replayAll(sink), 3u);
+    const size_t events = sink.events.size();
+    for (int i = 0; i < 5; ++i)
+        EXPECT_FALSE(r.replayFrame(sink));
+    EXPECT_EQ(r.replayAll(sink), 0u);
+    EXPECT_EQ(sink.events.size(), events);
+    std::remove(path.c_str());
+}
+
+// --- Trace-replay differentials -------------------------------------------
 
 constexpr int kDiffWidth = 256;
 constexpr int kDiffHeight = 192;
@@ -446,6 +674,39 @@ profiledRun(Workload &wl, FilterMode filter, const std::string &trace,
 }
 
 void
+checkCallSequence(Workload (*build)(), const char *name)
+{
+    for (FilterMode filter : {FilterMode::Bilinear, FilterMode::Trilinear}) {
+        const std::string ctx =
+            std::string(name) + "-" + filterModeName(filter);
+        const std::string path = tempTrace(("calls_" + ctx).c_str());
+        Workload wl = build();
+        TraceWriter writer(path);
+        CallLog given(&writer);
+        Rasterizer raster(kDiffWidth, kDiffHeight);
+        raster.setFilter(filter);
+        raster.setSink(&given);
+        const float aspect =
+            static_cast<float>(kDiffWidth) / static_cast<float>(kDiffHeight);
+        for (int f = 0; f < kDiffFrames; ++f) {
+            raster.renderFrame(wl.scene,
+                               wl.cameraAtFrame(f, wl.default_frames, aspect),
+                               *wl.textures);
+            writer.endFrame();
+            given.endFrame();
+        }
+        writer.close();
+        const std::vector<CallLog::Call> calls =
+            expectReplayMakesCalls(path, given, ctx);
+        EXPECT_GT(std::count(calls.begin(), calls.end(),
+                             CallLog::Call{CallLog::kBatch, 4096}),
+                  0)
+            << ctx << ": no span reaches the 4096 cap";
+        std::remove(path.c_str());
+    }
+}
+
+void
 checkReplayDifferential(Workload (*build)(), const char *name)
 {
     for (FilterMode filter : {FilterMode::Bilinear, FilterMode::Trilinear}) {
@@ -495,6 +756,16 @@ TEST(TraceReplayDifferential, VillageBilinearAndTrilinear)
 TEST(TraceReplayDifferential, CityBilinearAndTrilinear)
 {
     checkReplayDifferential(city, "city");
+}
+
+TEST(TraceReplayDifferential, VillageCallSequence)
+{
+    checkCallSequence(village, "village");
+}
+
+TEST(TraceReplayDifferential, CityCallSequence)
+{
+    checkCallSequence(city, "city");
 }
 
 } // namespace
