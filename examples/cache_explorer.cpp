@@ -376,12 +376,13 @@ main(int argc, char **argv)
                 filterModeName(cfg.filter), candidates.size(), jobs);
 
     // Every candidate is a simulator of one runner: the workload is
-    // built once and each frame rasterized once, then consumed by all
-    // of them (in parallel on the pool with --jobs > 1).
-    Workload wl = buildWorkload(workload);
+    // built once (its textures synthesized on the pool) and each frame
+    // rasterized once, then consumed by all of them (in parallel on the
+    // pool with --jobs > 1).
     std::unique_ptr<ThreadPool> pool;
     if (jobs > 1)
         pool = std::make_unique<ThreadPool>(jobs);
+    Workload wl = buildWorkload(workload, pool.get());
     MultiConfigRunner runner(wl, cfg, pool.get());
     for (const SweepCandidate &c : candidates)
         runner.addSim(c.config, c.label);

@@ -27,9 +27,10 @@
  *
  * Recording is a single pass; the replays are independent legs run on
  * the work-stealing pool (--jobs, default MLTC_JOBS env or hardware
- * concurrency — see docs/parallelism.md). Each leg opens its own
- * TraceReader over the recorded clip and replays into its own workload
- * and simulator, so output is byte-identical for any worker count.
+ * concurrency — see docs/parallelism.md), which also synthesizes every
+ * workload build's textures. Each leg opens its own TraceReader over
+ * the recorded clip and replays into its own workload and simulator,
+ * so output is byte-identical for any worker count.
  * Every TraceReader decodes on one helper thread of its own, outside
  * the pool: --jobs 4 runs four decode threads beside the four workers.
  *
@@ -67,6 +68,7 @@
 #include "util/io.hpp"
 #include "util/serializer.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/registry.hpp"
 
 int
@@ -120,12 +122,18 @@ main(int argc, char **argv)
     record_cfg.filter = FilterMode::Bilinear;
     record_cfg.frames = frames;
 
+    // One pool for the run: the workload builds synthesize their
+    // textures on it and the replay legs run on it.
+    std::unique_ptr<ThreadPool> pool;
+    if (jobs > 1)
+        pool = std::make_unique<ThreadPool>(jobs);
+
     // --- Record ---------------------------------------------------------
     {
         if (obs && obs->telemetry())
             obs->telemetry()->publishHealth(
                 "{\"status\":\"recording\"}");
-        Workload wl = buildWorkload(name);
+        Workload wl = buildWorkload(name, pool.get());
         std::printf("recording %d frames of '%s' to %s...\n", frames,
                     name.c_str(), path.c_str());
         TraceWriter writer(path);
@@ -161,7 +169,7 @@ main(int argc, char **argv)
     // the table below is byte-identical regardless of --jobs. Buffered
     // per-leg stdout (snapshot notes, MRC ascii) flushes in leg order.
     std::vector<std::vector<std::string>> rows(n);
-    SweepExecutor sweep(jobs);
+    SweepExecutor sweep(pool.get());
     if (obs && obs->telemetry()) {
         obs->telemetry()->publishHealth("{\"status\":\"replaying\"}");
         sweep.setTelemetry(obs->telemetry());
@@ -169,7 +177,7 @@ main(int argc, char **argv)
     for (size_t i = 0; i < n; ++i) {
         const Candidate &cand = candidates[i];
         sweep.addLeg(cand.label, [&, i, cand](LegContext &ctx) {
-            Workload wl = buildWorkload(name);
+            Workload wl = buildWorkload(name, pool.get());
             CacheSimConfig sc = cand.config;
             sc.host = host;
             CacheSim sim(*wl.textures, sc, cand.label);

@@ -43,9 +43,8 @@ obsFromCli(const CommandLine &cli)
     return cfg;
 }
 
-Observability::Observability(const ObsConfig &config,
-                             bool install_process_hooks)
-    : cfg_(config), hooks_(install_process_hooks),
+Observability::Observability(const ObsConfig &config)
+    : cfg_(config),
       metrics_(!config.metrics_path.empty() || config.telemetry)
 {
     // Parse SLO rules first: a malformed --slo must fail before any
@@ -57,13 +56,11 @@ Observability::Observability(const ObsConfig &config,
         metrics_sink_ = std::make_unique<JsonlFileSink>(cfg_.metrics_path);
         // One shared JSONL stream: log rows carry ts/level/msg keys,
         // metric rows carry frame/counters/... keys.
-        if (hooks_)
-            setLogJsonlSink(metrics_sink_.get());
+        setLogJsonlSink(metrics_sink_.get());
     }
     if (!cfg_.trace_path.empty()) {
         trace_ = std::make_unique<ChromeTraceWriter>(cfg_.trace_path);
-        if (hooks_)
-            hooks().install(trace_.get());
+        hooks().install(trace_.get());
     }
     if (!cfg_.profile_out.empty()) {
         ProfilerConfig pc;
@@ -73,8 +70,7 @@ Observability::Observability(const ObsConfig &config,
         pc.force_counters_unavailable = cfg_.profile_force_fallback;
         pc.registry = &metrics_;
         profiler_ = std::make_unique<StageProfiler>(pc);
-        if (hooks_)
-            hooks().install(profiler_.get());
+        hooks().install(profiler_.get());
     }
     if (cfg_.telemetry) {
         TelemetryConfig tc;
@@ -95,14 +91,13 @@ Observability::Observability(const ObsConfig &config,
         fc.prefix = cfg_.flight_out;
         fc.registry = &metrics_;
         flight_ = std::make_unique<FlightRecorder>(fc);
-        if (hooks_)
-            hooks().install(flight_.get());
+        hooks().install(flight_.get());
     }
 }
 
 Observability::~Observability()
 {
-    if (hooks_ && metrics_sink_)
+    if (metrics_sink_)
         setLogJsonlSink(nullptr);
     unhook();
     // The telemetry server joins its thread in its own destructor;
@@ -156,8 +151,7 @@ Observability::close()
     if (trace_)
         closeSink("trace", [this] { trace_->close(); });
     if (metrics_sink_) {
-        if (hooks_)
-            setLogJsonlSink(nullptr);
+        setLogJsonlSink(nullptr);
         closeSink("metrics", [this] { metrics_sink_->close(); });
     }
 }

@@ -93,14 +93,11 @@ class Observability
 {
   public:
     /**
-     * @p install_process_hooks wires the process-global integrations
-     * (log-to-JSONL mirroring, the hook registry). Parallel sweep legs pass
-     * false: each leg owns a private metrics sink and must not fight
-     * over process globals; the sweep driver keeps one shared,
-     * thread-safe tracer installed instead.
+     * Create the configured sinks and wire them into the process-global
+     * integrations (log-to-JSONL mirroring, the hook registry); one
+     * bundle per process.
      */
-    explicit Observability(const ObsConfig &config,
-                           bool install_process_hooks = true);
+    explicit Observability(const ObsConfig &config);
 
     /** Uninstalls its backends; best-effort close. */
     ~Observability();
@@ -155,7 +152,6 @@ class Observability
     void unhook();
 
     ObsConfig cfg_;
-    bool hooks_;
     MetricsRegistry metrics_;
     std::unique_ptr<JsonlFileSink> metrics_sink_;
     std::unique_ptr<ChromeTraceWriter> trace_;

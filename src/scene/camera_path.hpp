@@ -37,6 +37,9 @@ class CameraPath
     /** Number of keyframes. */
     size_t keyCount() const { return keys_.size(); }
 
+    /** The keyframes, in addKey() order. */
+    const std::vector<CameraPose> &keys() const { return keys_; }
+
     /**
      * Pose at normalised time @p t in [0, 1] (clamped). Requires at
      * least one keyframe.

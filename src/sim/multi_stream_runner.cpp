@@ -167,9 +167,13 @@ MultiStreamRunner::MultiStreamRunner(const MultiStreamConfig &config)
         throw std::invalid_argument(
             "MultiStreamRunner: at least one round is required");
 
-    streams_.reserve(cfg_.streams.size());
-    for (uint32_t i = 0; i < cfg_.streams.size(); ++i)
-        buildStream(i, cfg_.streams[i]);
+    // One pool for the runner's life: the build below and every round
+    // of run() share its workers, so no thread count exceeds --jobs.
+    const unsigned jobs =
+        cfg_.jobs == 0 ? ThreadPool::defaultJobs() : cfg_.jobs;
+    if (jobs > 1)
+        pool_ = std::make_unique<ThreadPool>(jobs);
+    buildStreams();
 
     // The shared L2's page table spans every stream's texture set; it
     // must be built after the last texture is registered.
@@ -201,35 +205,66 @@ MultiStreamRunner::MultiStreamRunner(const MultiStreamConfig &config)
 MultiStreamRunner::~MultiStreamRunner() = default;
 
 void
-MultiStreamRunner::buildStream(uint32_t index, const StreamSpec &spec)
+MultiStreamRunner::buildStreams()
 {
-    auto st = std::make_unique<StreamRuntime>();
-    st->spec = spec;
-    st->name = std::to_string(index) + ":" + spec.workload + "/" +
-               filterModeName(spec.filter);
-
-    if (spec.workload == kThrasherWorkload) {
-        // A checker texture spanning at least twice the L2 block count
-        // so a linear sweep never re-hits before eviction.
-        const uint64_t l2_blocks =
-            cfg_.l2_bytes / (cfg_.l2_tile * cfg_.l2_tile * 4ull);
-        uint64_t edge_blocks = 1;
-        while (edge_blocks * edge_blocks < 2 * l2_blocks)
-            ++edge_blocks;
-        uint32_t side = pow2Ceil(
-            static_cast<uint32_t>(edge_blocks) * cfg_.l2_tile);
-        side = std::min(side, 4096u);
-        st->thrasher_textures = std::make_unique<TextureManager>();
-        st->thrasher_tid = st->thrasher_textures->load(
-            "thrasher", MipPyramid(makeChecker(side, cfg_.l2_tile,
-                                               0xFF808080u, 0xFFC0C0C0u)));
-        st->thrasher_grid = side / cfg_.l2_tile;
-    } else {
-        st->workload = std::make_unique<Workload>(buildWorkload(spec.workload));
-        st->raster = std::make_unique<Rasterizer>(cfg_.width, cfg_.height);
-        st->raster->setFilter(spec.filter);
+    // Each distinct workload is built once; the tenants that name it
+    // share the immutable result. Every build, and every thrasher's
+    // texture, is one job on the pool.
+    std::vector<std::string> names;
+    std::vector<StreamRuntime *> thrashers;
+    for (uint32_t i = 0; i < cfg_.streams.size(); ++i) {
+        const StreamSpec &spec = cfg_.streams[i];
+        auto st = std::make_unique<StreamRuntime>();
+        st->spec = spec;
+        st->name = std::to_string(i) + ":" + spec.workload + "/" +
+                   filterModeName(spec.filter);
+        if (spec.workload == kThrasherWorkload) {
+            thrashers.push_back(st.get());
+        } else {
+            if (std::find(names.begin(), names.end(), spec.workload) ==
+                names.end())
+                names.push_back(spec.workload);
+            st->raster = std::make_unique<Rasterizer>(cfg_.width, cfg_.height);
+            st->raster->setFilter(spec.filter);
+        }
+        streams_.push_back(std::move(st));
     }
-    streams_.push_back(std::move(st));
+
+    std::vector<std::shared_ptr<const Workload>> built(names.size());
+    parallelFor(pool_.get(), names.size() + thrashers.size(),
+                [&](size_t k) {
+                    if (k < names.size())
+                        built[k] = std::make_shared<const Workload>(
+                            buildWorkload(names[k], pool_.get()));
+                    else
+                        buildThrasher(*thrashers[k - names.size()]);
+                });
+    for (auto &st : streams_) {
+        const auto it =
+            std::find(names.begin(), names.end(), st->spec.workload);
+        if (it != names.end())
+            st->workload = built[static_cast<size_t>(it - names.begin())];
+    }
+}
+
+void
+MultiStreamRunner::buildThrasher(StreamRuntime &st) const
+{
+    // A checker texture spanning at least twice the L2 block count so a
+    // linear sweep never re-hits before eviction.
+    const uint64_t l2_blocks =
+        cfg_.l2_bytes / (cfg_.l2_tile * cfg_.l2_tile * 4ull);
+    uint64_t edge_blocks = 1;
+    while (edge_blocks * edge_blocks < 2 * l2_blocks)
+        ++edge_blocks;
+    uint32_t side =
+        pow2Ceil(static_cast<uint32_t>(edge_blocks) * cfg_.l2_tile);
+    side = std::min(side, 4096u);
+    st.thrasher_textures = std::make_unique<TextureManager>();
+    st.thrasher_tid = st.thrasher_textures->load(
+        "thrasher", MipPyramid(makeChecker(side, cfg_.l2_tile, 0xFF808080u,
+                                           0xFFC0C0C0u)));
+    st.thrasher_grid = side / cfg_.l2_tile;
 }
 
 uint64_t
@@ -724,24 +759,19 @@ MultiStreamRunner::run(const ResilienceConfig &res)
         slo_ = std::make_unique<SloTracker>(obs_->sloRules());
     }
 
-    // One pool for the whole run: the legs and every stream's pipe
-    // share its workers, so no thread count exceeds --jobs. The pipes
-    // go first, each once its last queued drain task has run.
-    const unsigned jobs =
-        cfg_.jobs == 0 ? ThreadPool::defaultJobs() : cfg_.jobs;
-    std::unique_ptr<ThreadPool> pool;
-    if (jobs > 1)
-        pool = std::make_unique<ThreadPool>(jobs);
+    // The legs and every stream's pipe share the runner's pool. The
+    // pipes go first, each once its last queued drain task has run.
+    ThreadPool *pool = pool_.get();
     std::vector<std::unique_ptr<SpanPipe>> pipes;
     for (auto &st : streams_)
         pipes.push_back(std::make_unique<SpanPipe>(
-            *st->sim, pool.get(), annotate("leg:" + st->name)));
+            *st->sim, pool, annotate("leg:" + st->name)));
 
     SupervisedSteps steps;
     steps.count = cfg_.rounds;
     steps.entity = "stream";
     steps.step = [&](uint32_t round) {
-        runRound(round, res.audit, pool.get(), pipes);
+        runRound(round, res.audit, pool, pipes);
     };
     steps.save = [this](const std::string &path, uint32_t next) {
         saveCheckpoint(path, next);

@@ -99,10 +99,10 @@ struct MultiStreamConfig
     /** Re-derive Utility quotas every N rounds (0 = never). */
     uint32_t repartition_every = 8;
     /**
-     * Workers of the run's pool, shared by the per-stream legs and
-     * their span pipes (1 runs everything on the calling thread; 0
-     * means ThreadPool::defaultJobs()); the shared-L2 drain is always
-     * serial.
+     * Workers of the runner's pool, which builds the workloads and is
+     * shared by the per-stream legs and their span pipes (1 runs
+     * everything on the calling thread; 0 means
+     * ThreadPool::defaultJobs()); the shared-L2 drain is always serial.
      */
     unsigned jobs = 1;
     /** Run the 3C classifiers beside every stream's caches. */
@@ -142,7 +142,9 @@ class MultiStreamRunner
 {
   public:
     /**
-     * Build every stream (workloads, private L1 sims, shared L2).
+     * Build every stream (workloads, private L1 sims, shared L2). Each
+     * distinct workload is built once, with its textures synthesized
+     * on the runner's pool, and shared by the tenants that name it.
      * @throws std::invalid_argument on an empty stream list, an
      *         unknown workload name or an invalid share configuration.
      */
@@ -178,6 +180,12 @@ class MultiStreamRunner
 
     /** The shared L2. */
     const L2TextureCache &l2() const { return *l2_; }
+
+    /** Stream @p i's textures (one manager per distinct workload). */
+    const TextureManager &textures(uint32_t i) const
+    {
+        return streams_[i]->textures();
+    }
 
     /** Stream @p i's private simulator. */
     const CacheSim &sim(uint32_t i) const { return *streams_[i]->sim; }
@@ -223,7 +231,8 @@ class MultiStreamRunner
     {
         StreamSpec spec;
         std::string name;
-        std::unique_ptr<Workload> workload; ///< null for the thrasher
+        /** Shared by the tenants naming it; null for the thrasher. */
+        std::shared_ptr<const Workload> workload;
         std::unique_ptr<Rasterizer> raster; ///< null for the thrasher
         std::unique_ptr<TextureManager> thrasher_textures;
         TextureId thrasher_tid = 0;
@@ -243,7 +252,8 @@ class MultiStreamRunner
         }
     };
 
-    void buildStream(uint32_t index, const StreamSpec &spec);
+    void buildStreams();
+    void buildThrasher(StreamRuntime &st) const;
     /** @p pipes holds each stream's producer -> sim pipe, by index. */
     void runRound(uint32_t round, AuditLevel audit, ThreadPool *pool,
                   std::span<const std::unique_ptr<SpanPipe>> pipes);
@@ -272,6 +282,8 @@ class MultiStreamRunner
     /** Latest noisy-neighbor verdict per stream (repartition cadence);
      *  used to attribute SLO violations to thrash vs overload. */
     std::vector<uint8_t> last_noisy_;
+    /** Builds the workloads and runs every round (null at one job). */
+    std::unique_ptr<ThreadPool> pool_;
 };
 
 } // namespace mltc

@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/page_allocator.hpp"
+
 namespace mltc {
 
 /** Pack 8-bit channels into the texel format. */
@@ -92,8 +94,11 @@ class Image
         data_[static_cast<size_t>(y) * width_ + x] = value;
     }
 
+    /** Texel storage: large images are mapped pages (PageAllocator). */
+    using Storage = std::vector<uint32_t, PageAllocator<uint32_t>>;
+
     /** Raw texel storage (row-major). */
-    const std::vector<uint32_t> &data() const { return data_; }
+    const Storage &data() const { return data_; }
 
     /** Size in bytes at 32 bits per texel. */
     size_t
@@ -105,7 +110,7 @@ class Image
   private:
     uint32_t width_ = 0;
     uint32_t height_ = 0;
-    std::vector<uint32_t> data_;
+    Storage data_;
 };
 
 } // namespace mltc

@@ -1,6 +1,8 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 
 #include "util/env.hpp"
 
@@ -147,6 +149,85 @@ ThreadPool::waitIdle()
 {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_idle_.wait(lock, [this]() { return unfinished_ == 0; });
+}
+
+namespace {
+
+/**
+ * One parallelFor() call's shared state. Helpers hold it by shared_ptr
+ * because a helper the pool starts after the loop finished still reads
+ * the counter (and then leaves without touching the body).
+ */
+struct ForState
+{
+    size_t count = 0;
+    const std::function<void(size_t)> *body = nullptr;
+    std::atomic<size_t> next{0};
+    std::atomic<bool> failed{false};
+
+    std::mutex mutex; ///< guards done, error, error_index
+    std::condition_variable cv_done;
+    size_t done = 0;
+    std::exception_ptr error;
+    size_t error_index = 0;
+
+    /** Take and run indices until none are left. */
+    void
+    drain()
+    {
+        for (;;) {
+            const size_t i = next.fetch_add(1);
+            if (i >= count)
+                return;
+            std::exception_ptr thrown;
+            if (!failed.load()) {
+                try {
+                    (*body)(i);
+                } catch (...) {
+                    thrown = std::current_exception();
+                    failed.store(true);
+                }
+            }
+            std::lock_guard<std::mutex> lock(mutex);
+            if (thrown && (!error || i < error_index)) {
+                error = std::move(thrown);
+                error_index = i;
+            }
+            if (++done == count)
+                cv_done.notify_all();
+        }
+    }
+};
+
+} // namespace
+
+void
+parallelFor(ThreadPool *pool, size_t count,
+            const std::function<void(size_t)> &body)
+{
+    if (!pool || count < 2) {
+        for (size_t i = 0; i < count; ++i)
+            body(i);
+        return;
+    }
+    auto state = std::make_shared<ForState>();
+    state->count = count;
+    state->body = &body;
+    const size_t helpers =
+        std::min<size_t>(pool->workerCount(), count - 1);
+    for (size_t h = 0; h < helpers; ++h)
+        pool->submit([state]() { state->drain(); });
+    state->drain();
+    std::exception_ptr error;
+    {
+        std::unique_lock<std::mutex> lock(state->mutex);
+        state->cv_done.wait(lock, [&]() { return state->done == count; });
+        // Taken out so the exception dies on this thread, not with the
+        // state on whichever worker drops it last.
+        error = std::move(state->error);
+    }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace mltc

@@ -16,6 +16,9 @@
  *
  * Shutdown drains: the destructor lets queued tasks finish before
  * joining, so dropping a pool never loses submitted work.
+ *
+ * parallelFor() spreads a loop over a borrowed pool with the calling
+ * thread helping, so it may be called from inside a pool task.
  */
 #ifndef MLTC_UTIL_THREAD_POOL_HPP
 #define MLTC_UTIL_THREAD_POOL_HPP
@@ -98,6 +101,24 @@ private:
     size_t unfinished_ = 0; ///< tasks queued or currently running
     bool stop_ = false;
 };
+
+/**
+ * Run @p body(i) for every i in [0, @p count), on @p pool's workers and
+ * the calling thread together; returns once every call has returned.
+ *
+ * Every participant takes the next index from one shared counter, so
+ * the caller only ever waits for calls some thread is already running:
+ * a task of a pool (even a 1-worker pool) may call it on that same pool
+ * without deadlock. A null pool runs the plain serial loop in index
+ * order. No thread runs @p body beyond the pool's workers and the
+ * caller.
+ *
+ * If calls throw, indices not yet taken are skipped and the exception
+ * of the lowest throwing index is rethrown: every lower index was taken
+ * first and ran, so that is the exception the serial loop would throw.
+ */
+void parallelFor(ThreadPool *pool, size_t count,
+                 const std::function<void(size_t)> &body);
 
 } // namespace mltc
 

@@ -3,19 +3,20 @@
 #include <cmath>
 
 #include "texture/procedural.hpp"
+#include "texture/texture_batch.hpp"
 #include "util/rng.hpp"
 
 namespace mltc {
 
 Workload
-buildCity(const CityParams &params)
+buildCity(const CityParams &params, ThreadPool *pool)
 {
     Workload wl;
     wl.name = "city";
     wl.default_frames = params.default_frames;
     wl.z_far = 3000.0f;
     wl.textures = std::make_unique<TextureManager>();
-    TextureManager &tm = *wl.textures;
+    TextureBatch batch(*wl.textures);
     Rng rng(params.seed);
 
     const float span_x =
@@ -25,12 +26,15 @@ buildCity(const CityParams &params)
     const float extent = std::max(span_x, span_z) * 1.5f;
 
     // --- Shared infrastructure textures ---------------------------------
-    TextureId asphalt = tm.load("asphalt", MipPyramid(makeRoad(256, rng.next())));
-    TextureId concrete =
-        tm.load("concrete", MipPyramid(makePlaster(256, rng.next())));
+    // Queued with their seeds; synthesized at the end of the build.
+    TextureId asphalt =
+        batch.add("asphalt", [s = rng.next()] { return makeRoad(256, s); });
+    TextureId concrete = batch.add(
+        "concrete", [s = rng.next()] { return makePlaster(256, s); });
     TextureId rooftop =
-        tm.load("rooftop", MipPyramid(makeStone(128, rng.next())));
-    TextureId sky = tm.load("sky", MipPyramid(makeSky(512, rng.next())));
+        batch.add("rooftop", [s = rng.next()] { return makeStone(128, s); });
+    TextureId sky =
+        batch.add("sky", [s = rng.next()] { return makeSky(512, s); });
 
     Scene &scene = wl.scene;
 
@@ -82,10 +86,11 @@ buildCity(const CityParams &params)
             bool big = big_every > 0 && (index % big_every) == 0;
             uint32_t tex_size =
                 big ? params.facade_texture_size * 2 : params.facade_texture_size;
-            TextureId facade = tm.load(
+            TextureId facade = batch.add(
                 "facade_" + std::to_string(index),
-                MipPyramid(makeFacade(tex_size, rng.next(),
-                                      std::min(stories, 8u), 6)));
+                [tex_size, s = rng.next(), floors = std::min(stories, 8u)] {
+                    return makeFacade(tex_size, s, floors, 6);
+                });
 
             float foot = params.footprint * rng.uniformf(0.8f, 1.05f);
             // Facade wraps once per ~8 world units -> window grid scale.
@@ -139,6 +144,7 @@ buildCity(const CityParams &params)
     wl.path.addKey({hx * 1.1f, 100.0f, hz * 1.1f}, {0.0f, 30.0f, 0.0f});
     wl.path.addKey({hx * 1.5f, 140.0f, 0.0f}, {0.0f, 20.0f, 0.0f});
     wl.path.addKey({hx * 1.1f, 160.0f, -hz * 1.1f}, {0.0f, 10.0f, 0.0f});
+    batch.load(pool);
     return wl;
 }
 

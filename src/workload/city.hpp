@@ -33,8 +33,12 @@ struct CityParams
     int default_frames = 525;  ///< the paper's City animation length
 };
 
-/** Build the City workload. Deterministic in @p params.seed. */
-Workload buildCity(const CityParams &params = {});
+/**
+ * Build the City workload. Deterministic in @p params.seed; the
+ * textures are synthesized on @p pool plus the calling thread (serially
+ * when null) and come out identical either way.
+ */
+Workload buildCity(const CityParams &params = {}, ThreadPool *pool = nullptr);
 
 } // namespace mltc
 

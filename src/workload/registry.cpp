@@ -33,14 +33,14 @@ checkWorkloadName(const std::string &name)
 }
 
 Workload
-buildWorkload(const std::string &name)
+buildWorkload(const std::string &name, ThreadPool *pool)
 {
     if (name == "village")
-        return buildVillage();
+        return buildVillage({}, pool);
     if (name == "city")
-        return buildCity();
+        return buildCity({}, pool);
     if (name == "terrain")
-        return buildTerrain();
+        return buildTerrain({}, pool);
     throw std::invalid_argument("unknown workload: " + name);
 }
 

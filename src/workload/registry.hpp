@@ -29,10 +29,12 @@ std::vector<std::string> allWorkloadNames();
 void checkWorkloadName(const std::string &name);
 
 /**
- * Build a workload by name ("village", "city", "terrain").
+ * Build a workload by name ("village", "city", "terrain") at its
+ * default parameters, synthesizing its textures on @p pool (see
+ * buildVillage()).
  * @throws std::invalid_argument for unknown names.
  */
-Workload buildWorkload(const std::string &name);
+Workload buildWorkload(const std::string &name, ThreadPool *pool = nullptr);
 
 } // namespace mltc
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "texture/procedural.hpp"
+#include "texture/texture_batch.hpp"
 #include "util/rng.hpp"
 
 namespace mltc {
@@ -66,23 +67,25 @@ makeSatellite(uint32_t size, float extent, float amplitude, uint64_t seed)
 } // namespace
 
 Workload
-buildTerrain(const TerrainParams &params)
+buildTerrain(const TerrainParams &params, ThreadPool *pool)
 {
     Workload wl;
     wl.name = "terrain";
     wl.default_frames = params.default_frames;
     wl.z_far = 4000.0f;
     wl.textures = std::make_unique<TextureManager>();
-    TextureManager &tm = *wl.textures;
+    TextureBatch batch(*wl.textures);
     Rng rng(params.seed);
 
-    TextureId satellite = tm.load(
-        "satellite",
-        MipPyramid(makeSatellite(params.satellite_texture_size,
-                                 params.extent, params.height_amplitude,
-                                 params.seed)));
-    TextureId rock = tm.load("rock", MipPyramid(makeStone(256, rng.next())));
-    TextureId sky = tm.load("sky", MipPyramid(makeSky(512, rng.next())));
+    // Queued with their seeds; synthesized at the end of the build.
+    TextureId satellite = batch.add("satellite", [&params] {
+        return makeSatellite(params.satellite_texture_size, params.extent,
+                             params.height_amplitude, params.seed);
+    });
+    TextureId rock =
+        batch.add("rock", [s = rng.next()] { return makeStone(256, s); });
+    TextureId sky =
+        batch.add("sky", [s = rng.next()] { return makeSky(512, s); });
 
     Scene &scene = wl.scene;
 
@@ -149,6 +152,7 @@ buildTerrain(const TerrainParams &params)
     fly(half * 0.5f, -half * 0.5f, 30.0f, 0.0f, -half * 0.25f);
     fly(0.0f, -half * 0.4f, 45.0f, -half, half);
     fly(-half * 0.6f, half * 0.4f, 55.0f, -half, half);
+    batch.load(pool);
     return wl;
 }
 

@@ -32,8 +32,13 @@ struct TerrainParams
     int default_frames = 450;
 };
 
-/** Build the Terrain workload. Deterministic in @p params.seed. */
-Workload buildTerrain(const TerrainParams &params = {});
+/**
+ * Build the Terrain workload. Deterministic in @p params.seed; the
+ * textures are synthesized on @p pool plus the calling thread (serially
+ * when null) and come out identical either way.
+ */
+Workload buildTerrain(const TerrainParams &params = {},
+                      ThreadPool *pool = nullptr);
 
 } // namespace mltc
 

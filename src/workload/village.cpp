@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "texture/procedural.hpp"
+#include "texture/texture_batch.hpp"
 #include "util/rng.hpp"
 
 namespace mltc {
@@ -35,46 +36,50 @@ addSkyWalls(Scene &scene, TextureId sky, float extent, float height)
 } // namespace
 
 Workload
-buildVillage(const VillageParams &params)
+buildVillage(const VillageParams &params, ThreadPool *pool)
 {
     Workload wl;
     wl.name = "village";
     wl.default_frames = params.default_frames;
     wl.textures = std::make_unique<TextureManager>();
-    TextureManager &tm = *wl.textures;
+    TextureBatch batch(*wl.textures);
     Rng rng(params.seed);
 
     // --- Texture pool (heavily shared between objects) ----------------
+    // Queued with their seeds; synthesized at the end of the build.
     const uint32_t gts = params.ground_texture_size;
     const uint32_t wts = params.wall_texture_size;
     const uint32_t small = wts / 2; // secondary materials at half size
-    TextureId grass = tm.load("grass", MipPyramid(makeGrass(gts, rng.next())));
-    TextureId dirt = tm.load("dirt", MipPyramid(makeDirt(small, rng.next())));
-    TextureId road = tm.load("road", MipPyramid(makeRoad(small, rng.next())));
-    TextureId sky = tm.load("sky", MipPyramid(makeSky(gts, rng.next())));
+    TextureId grass =
+        batch.add("grass", [gts, s = rng.next()] { return makeGrass(gts, s); });
+    TextureId dirt =
+        batch.add("dirt", [small, s = rng.next()] { return makeDirt(small, s); });
+    TextureId road =
+        batch.add("road", [small, s = rng.next()] { return makeRoad(small, s); });
+    TextureId sky =
+        batch.add("sky", [gts, s = rng.next()] { return makeSky(gts, s); });
 
+    Image (*const wall_makers[])(uint32_t, uint64_t) = {
+        makeBrickWall, makePlaster, makeStone, makeWoodPlanks};
     std::vector<TextureId> walls;
     for (int i = 0; i < params.wall_texture_pool; ++i) {
-        Image img;
-        switch (i % 4) {
-          case 0: img = makeBrickWall(wts, rng.next()); break;
-          case 1: img = makePlaster(wts, rng.next()); break;
-          case 2: img = makeStone(wts, rng.next()); break;
-          default: img = makeWoodPlanks(wts, rng.next()); break;
-        }
-        walls.push_back(tm.load("wall_" + std::to_string(i),
-                                MipPyramid(std::move(img))));
+        const auto make = wall_makers[i % 4];
+        walls.push_back(batch.add("wall_" + std::to_string(i),
+                                  [make, wts, s = rng.next()] {
+                                      return make(wts, s);
+                                  }));
     }
     std::vector<TextureId> roofs;
     for (int i = 0; i < params.roof_texture_pool; ++i)
-        roofs.push_back(
-            tm.load("roof_" + std::to_string(i),
-                    MipPyramid(makeRoofShingles(small, rng.next()))));
+        roofs.push_back(batch.add("roof_" + std::to_string(i),
+                                  [small, s = rng.next()] {
+                                      return makeRoofShingles(small, s);
+                                  }));
 
-    TextureId church_wall =
-        tm.load("church_wall", MipPyramid(makeStone(gts, rng.next())));
-    TextureId foliage =
-        tm.load("foliage", MipPyramid(makeFoliage(small, rng.next())));
+    TextureId church_wall = batch.add(
+        "church_wall", [gts, s = rng.next()] { return makeStone(gts, s); });
+    TextureId foliage = batch.add(
+        "foliage", [small, s = rng.next()] { return makeFoliage(small, s); });
 
     // --- Geometry ------------------------------------------------------
     Scene &scene = wl.scene;
@@ -238,6 +243,7 @@ buildVillage(const VillageParams &params)
         wl.path.addKey({w.x, eye_h, w.z},
                        {next.x, eye_h * 0.9f, next.z});
     }
+    batch.load(pool);
     return wl;
 }
 

@@ -34,8 +34,13 @@ struct VillageParams
     int default_frames = 411;  ///< the paper's Village animation length
 };
 
-/** Build the Village workload. Deterministic in @p params.seed. */
-Workload buildVillage(const VillageParams &params = {});
+/**
+ * Build the Village workload. Deterministic in @p params.seed; the
+ * textures are synthesized on @p pool plus the calling thread (serially
+ * when null) and come out identical either way.
+ */
+Workload buildVillage(const VillageParams &params = {},
+                      ThreadPool *pool = nullptr);
 
 } // namespace mltc
 

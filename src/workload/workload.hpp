@@ -17,6 +17,8 @@
 
 namespace mltc {
 
+class ThreadPool;
+
 /** A complete workload: scene + textures + scripted animation. */
 struct Workload
 {

@@ -15,7 +15,10 @@
  *    CSVs are byte-identical to an uninterrupted run;
  *  - a CacheSim on a shared L2 queues its L1 misses until endFrame(),
  *    so the per-stream legs may run concurrently: the outputs do not
- *    depend on --jobs.
+ *    depend on --jobs;
+ *  - tenants naming one workload share a single build of it, and the
+ *    serve4 mix gives the rows and checkpoint bytes pinned from when
+ *    every tenant built its own.
  */
 #include <gtest/gtest.h>
 
@@ -624,6 +627,77 @@ TEST(MultiStream, PerfbenchMixIsJobsInvariant)
         removeSnapshot(snap);
     }
     removeSnapshot(snap1);
+}
+
+/** FNV-1a over every stream's rows, then over the checkpoint bytes. */
+uint64_t
+runHash(const MultiStreamRunner &runner, const std::string &snap)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (uint32_t i = 0; i < runner.streamCount(); ++i)
+        for (const StreamRoundRow &r : runner.rows(i))
+            for (uint64_t v :
+                 {uint64_t{r.round}, r.accesses, r.l1_misses,
+                  r.l2_full_hits, r.l2_partial_hits, r.l2_full_misses,
+                  r.host_bytes, r.cross_evictions, r.quota_blocks,
+                  r.alloc_blocks, uint64_t{r.lod_bias}, uint64_t{r.noisy},
+                  uint64_t{r.quarantined}})
+                mix(v);
+    for (char c : fileBytes(snap))
+        mix(static_cast<unsigned char>(c));
+    return h;
+}
+
+TEST(MultiStream, TenantsNamingOneWorkloadShareItsTextures)
+{
+    for (unsigned jobs : {1u, 3u}) {
+        MultiStreamConfig ms = base(L2SharePolicy::Utility);
+        ms.jobs = jobs;
+        ms.streams = {spec("village", FilterMode::Trilinear),
+                      spec("city", FilterMode::Bilinear),
+                      spec("village", FilterMode::Bilinear, 205),
+                      spec(kThrasherWorkload, FilterMode::Bilinear)};
+        const MultiStreamRunner runner(ms);
+        const std::string ctx = "jobs " + std::to_string(jobs);
+        EXPECT_EQ(&runner.textures(0), &runner.textures(2)) << ctx;
+        EXPECT_NE(&runner.textures(0), &runner.textures(1)) << ctx;
+        EXPECT_NE(&runner.textures(0), &runner.textures(3)) << ctx;
+        EXPECT_EQ(runner.textures(0).textureCount(), 18u) << ctx;
+        EXPECT_EQ(runner.textures(3).textureCount(), 1u) << ctx;
+    }
+}
+
+TEST(MultiStream, Serve4RunMatchesPinnedHash)
+{
+    // Perfbench's serve4 tenant set and caches at a reduced screen:
+    // two Village tenants, the City and the thrasher on a 4 MB L2.
+    // Pinned from the runner that built every tenant's workload itself.
+    MultiStreamConfig ms = base(L2SharePolicy::Utility, 4ull << 20);
+    ms.width = 256;
+    ms.height = 192;
+    ms.l1_bytes = 16ull << 10;
+    ms.rounds = 4;
+    ms.streams = {spec("village", FilterMode::Trilinear),
+                  spec("village", FilterMode::Bilinear, 205),
+                  spec("city", FilterMode::Bilinear),
+                  spec(kThrasherWorkload, FilterMode::Bilinear)};
+    constexpr uint64_t kPinned = 0xc63c24414a96e369ull;
+    for (unsigned jobs : {1u, 4u}) {
+        const std::string snap =
+            tempPath("serve4_j" + std::to_string(jobs) + ".snap");
+        const auto runner = runAtJobs(ms, jobs, snap);
+        for (uint32_t i = 0; i < runner->streamCount(); ++i)
+            ASSERT_EQ(runner->rows(i).size(), ms.rounds) << "stream " << i;
+        const uint64_t h = runHash(*runner, snap);
+        EXPECT_EQ(h, kPinned) << "jobs " << jobs << ": 0x" << std::hex << h;
+        removeSnapshot(snap);
+    }
 }
 
 TEST(MultiStream, RoundPhaseTimesGoToTheFlightRecorder)

@@ -530,35 +530,20 @@ TEST(Observability, QuarantineLeavesSchemaValidFlightBundle)
     ::rmdir(dir.c_str());
 }
 
-TEST(Observability, WithoutProcessHooksInstallsNoBackend)
+TEST(Observability, TearingDownABundleKeepsOtherBackendsInstalled)
 {
-    ObsConfig cfg;
-    cfg.trace_path = tempPath("nohooks_trace.json");
-    cfg.profile_out = tempPath("nohooks_prof");
-    cfg.flight_out = tempPath("nohooks_flight");
-    Observability obs(cfg, /*install_process_hooks=*/false);
-    ASSERT_NE(obs.trace(), nullptr);
-    ASSERT_NE(obs.profiler(), nullptr);
-    ASSERT_NE(obs.flight(), nullptr);
-    EXPECT_EQ(hooks().tracer(), nullptr);
-    EXPECT_EQ(hooks().profiler(), nullptr);
-    EXPECT_EQ(hooks().flight(), nullptr);
-    EXPECT_FALSE(hooks().timed());
-    obs.close();
-    std::remove(cfg.trace_path.c_str());
-
-    // Nor does tearing one down remove what the process installed (a
-    // sweep leg's bundle beside the driver's shared tracer).
+    // A bundle removes only the backends it installed itself: one with
+    // no backend configured leaves the process's flight recorder be.
     FlightRecorder outer(FlightRecorder::Config{});
     hooks().install(&outer);
     {
-        Observability leg(ObsConfig{}, /*install_process_hooks=*/false);
-        leg.close();
+        Observability bare(ObsConfig{});
+        EXPECT_EQ(hooks().flight(), &outer);
+        bare.close();
     }
     EXPECT_EQ(hooks().flight(), &outer);
     hooks().uninstall(&outer);
-    std::remove((cfg.profile_out + ".folded").c_str());
-    std::remove((cfg.profile_out + ".json").c_str());
+    EXPECT_EQ(hooks().flight(), nullptr);
 }
 
 } // namespace

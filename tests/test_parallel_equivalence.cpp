@@ -13,12 +13,17 @@
  *
  * Extends the resume-equivalence pattern: legs are complete runner
  * passes over their own tiny Workload, exactly how the bench drivers
- * use the executor.
+ * use the executor. Like the drivers, the legs own no Observability
+ * (a bundle wires process globals, so there is one per process): the
+ * metrics stream comes from a second pass that runs each leg's sims
+ * under one bundle at a time, consuming in parallel on the same pool,
+ * and must repeat the sweep's rows.
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <unistd.h>
@@ -28,6 +33,7 @@
 #include "sim/multi_config_runner.hpp"
 #include "sim/parallel_runner.hpp"
 #include "util/csv.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/village.hpp"
 
 namespace mltc {
@@ -116,10 +122,58 @@ struct SweepArtifacts
     std::string manifest_csv;                ///< sweep manifest bytes
 };
 
+void
+expectRowsEqual(const std::vector<FrameRow> &a,
+                const std::vector<FrameRow> &b, const std::string &ctx)
+{
+    ASSERT_EQ(a.size(), b.size()) << ctx;
+    for (size_t i = 0; i < a.size(); ++i) {
+        const FrameRow &x = a[i];
+        const FrameRow &y = b[i];
+        const std::string at = ctx + " row " + std::to_string(i);
+        EXPECT_EQ(x.frame, y.frame) << at;
+        EXPECT_EQ(x.raster.texel_accesses, y.raster.texel_accesses) << at;
+        EXPECT_EQ(x.raster.pixels_textured, y.raster.pixels_textured) << at;
+        ASSERT_EQ(x.sims.size(), y.sims.size()) << at;
+        for (size_t s = 0; s < x.sims.size(); ++s) {
+            const CacheFrameStats &p = x.sims[s];
+            const CacheFrameStats &q = y.sims[s];
+            const std::string sim = at + " sim " + std::to_string(s);
+            EXPECT_EQ(p.accesses, q.accesses) << sim;
+            EXPECT_EQ(p.l1_misses, q.l1_misses) << sim;
+            EXPECT_EQ(p.l2_full_hits, q.l2_full_hits) << sim;
+            EXPECT_EQ(p.l2_partial_hits, q.l2_partial_hits) << sim;
+            EXPECT_EQ(p.l2_full_misses, q.l2_full_misses) << sim;
+            EXPECT_EQ(p.host_bytes, q.host_bytes) << sim;
+            EXPECT_EQ(p.l2_read_bytes, q.l2_read_bytes) << sim;
+            EXPECT_EQ(p.tlb_probes, q.tlb_probes) << sim;
+            EXPECT_EQ(p.tlb_hits, q.tlb_hits) << sim;
+            EXPECT_EQ(p.host_retries, q.host_retries) << sim;
+            EXPECT_EQ(p.host_failures, q.host_failures) << sim;
+            EXPECT_EQ(p.degraded_accesses, q.degraded_accesses) << sim;
+        }
+    }
+}
+
+/** Add @p spec's two simulators to @p runner. */
+void
+addLegSims(MultiConfigRunner &runner, const LegSpec &spec)
+{
+    const HostPathConfig host = spec.faults ? faultyHost() : HostPathConfig{};
+    CacheSimConfig pull = CacheSimConfig::pull(128 << 10);
+    pull.host = host;
+    runner.addSim(pull, "pull");
+    CacheSimConfig two = CacheSimConfig::twoLevel(128 << 10, 2ull << 20);
+    two.tlb_entries = 8;
+    two.host = host;
+    runner.addSim(two, "l2-2mb");
+}
+
 /**
  * Run the whole grid at the given worker count the same way the bench
- * drivers do: per-leg Workload/runner/sims/metrics/checkpoint, results
- * into leg-indexed slots, files emitted in leg order after the run.
+ * drivers do: per-leg Workload/runner/sims/checkpoint, results into
+ * leg-indexed slots, files emitted in leg order after the run; then the
+ * metrics pass.
  */
 SweepArtifacts
 runSweep(unsigned jobs, int frames)
@@ -131,40 +185,46 @@ runSweep(unsigned jobs, int frames)
     SweepArtifacts art;
     art.rows.resize(legs.size());
 
-    SweepExecutor sweep(jobs);
+    std::unique_ptr<ThreadPool> pool;
+    if (jobs > 1)
+        pool = std::make_unique<ThreadPool>(jobs);
+    SweepExecutor sweep(pool.get());
     for (size_t i = 0; i < legs.size(); ++i) {
         const LegSpec &spec = legs[i];
         sweep.addLeg(spec.name, [&, i, spec](LegContext &) {
             Workload wl = tiny();
             MultiConfigRunner runner(wl, driver(spec.filter, frames));
-            const HostPathConfig host =
-                spec.faults ? faultyHost() : HostPathConfig{};
-            CacheSimConfig pull = CacheSimConfig::pull(128 << 10);
-            pull.host = host;
-            runner.addSim(pull, "pull");
-            CacheSimConfig two =
-                CacheSimConfig::twoLevel(128 << 10, 2ull << 20);
-            two.tlb_entries = 8;
-            two.host = host;
-            runner.addSim(two, "l2-2mb");
-
-            ObsConfig oc;
-            oc.metrics_path = base + ".leg" + std::to_string(i) + ".jsonl";
-            Observability obs(oc, /*install_process_hooks=*/false);
-            runner.setObservability(&obs);
-
+            addLegSims(runner, spec);
             ResilienceConfig rc;
             rc.checkpoint_path =
                 base + ".leg" + std::to_string(i) + ".snap";
             RunManifest m = runner.runSupervised(rc);
             EXPECT_EQ(m.outcome, RunOutcome::Completed) << spec.name;
-            obs.close();
             art.rows[i] = runner.rows();
         });
     }
     SweepManifest manifest = sweep.run();
     EXPECT_TRUE(manifest.allCompleted()) << "jobs=" << jobs;
     manifest.writeCsv(base + ".manifest.csv");
+
+    // The metrics pass: leg by leg, one bundle at a time, the leg's
+    // sims consuming on the pool.
+    for (size_t i = 0; i < legs.size(); ++i) {
+        Workload wl = tiny();
+        MultiConfigRunner runner(wl, driver(legs[i].filter, frames),
+                                 pool.get());
+        addLegSims(runner, legs[i]);
+        ObsConfig oc;
+        oc.metrics_path = base + ".leg" + std::to_string(i) + ".jsonl";
+        Observability obs(oc);
+        runner.setObservability(&obs);
+        EXPECT_EQ(runner.runSupervised(ResilienceConfig{}).outcome,
+                  RunOutcome::Completed)
+            << legs[i].name;
+        obs.close();
+        expectRowsEqual(art.rows[i], runner.rows(),
+                        "metrics pass, leg " + legs[i].name);
+    }
 
     // Emit the sweep CSV from per-leg results, strictly in leg order.
     {
@@ -203,39 +263,6 @@ runSweep(unsigned jobs, int frames)
     std::remove((base + ".csv").c_str());
     std::remove((base + ".manifest.csv").c_str());
     return art;
-}
-
-void
-expectRowsEqual(const std::vector<FrameRow> &a,
-                const std::vector<FrameRow> &b, const std::string &ctx)
-{
-    ASSERT_EQ(a.size(), b.size()) << ctx;
-    for (size_t i = 0; i < a.size(); ++i) {
-        const FrameRow &x = a[i];
-        const FrameRow &y = b[i];
-        const std::string at = ctx + " row " + std::to_string(i);
-        EXPECT_EQ(x.frame, y.frame) << at;
-        EXPECT_EQ(x.raster.texel_accesses, y.raster.texel_accesses) << at;
-        EXPECT_EQ(x.raster.pixels_textured, y.raster.pixels_textured) << at;
-        ASSERT_EQ(x.sims.size(), y.sims.size()) << at;
-        for (size_t s = 0; s < x.sims.size(); ++s) {
-            const CacheFrameStats &p = x.sims[s];
-            const CacheFrameStats &q = y.sims[s];
-            const std::string sim = at + " sim " + std::to_string(s);
-            EXPECT_EQ(p.accesses, q.accesses) << sim;
-            EXPECT_EQ(p.l1_misses, q.l1_misses) << sim;
-            EXPECT_EQ(p.l2_full_hits, q.l2_full_hits) << sim;
-            EXPECT_EQ(p.l2_partial_hits, q.l2_partial_hits) << sim;
-            EXPECT_EQ(p.l2_full_misses, q.l2_full_misses) << sim;
-            EXPECT_EQ(p.host_bytes, q.host_bytes) << sim;
-            EXPECT_EQ(p.l2_read_bytes, q.l2_read_bytes) << sim;
-            EXPECT_EQ(p.tlb_probes, q.tlb_probes) << sim;
-            EXPECT_EQ(p.tlb_hits, q.tlb_hits) << sim;
-            EXPECT_EQ(p.host_retries, q.host_retries) << sim;
-            EXPECT_EQ(p.host_failures, q.host_failures) << sim;
-            EXPECT_EQ(p.degraded_accesses, q.degraded_accesses) << sim;
-        }
-    }
 }
 
 TEST(ParallelEquivalence, ThreadCountInvariantBytes)

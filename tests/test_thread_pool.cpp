@@ -5,14 +5,17 @@
  * futures, nested submits, drain-on-shutdown, the MLTC_JOBS default
  * policy, and — the property the parallel sweep engine rests on —
  * in-registration-order emission no matter how the pool schedules the
- * legs.
+ * legs. parallelFor() is checked for exactly-once coverage, its thread
+ * bound, its exception choice and nested use from inside pool tasks.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -218,6 +221,89 @@ TEST(SweepExecutor, ManifestCsvIsThreadCountInvariant)
     const std::string parallel = render(8);
     EXPECT_FALSE(serial.empty());
     EXPECT_EQ(serial, parallel);
+}
+
+TEST(ParallelFor, RunsEveryIndexOnceOnTheWorkersAndTheCaller)
+{
+    for (unsigned workers : {1u, 2u, 4u}) {
+        ThreadPool pool(workers);
+        for (size_t count : {size_t{0}, size_t{1}, size_t{7}, size_t{1000}}) {
+            std::vector<std::atomic<int>> hits(count);
+            std::mutex mutex;
+            std::set<std::thread::id> threads;
+            parallelFor(&pool, count, [&](size_t i) {
+                hits[i].fetch_add(1);
+                std::lock_guard<std::mutex> lock(mutex);
+                threads.insert(std::this_thread::get_id());
+            });
+            for (size_t i = 0; i < count; ++i)
+                EXPECT_EQ(hits[i].load(), 1)
+                    << workers << " workers, index " << i;
+            EXPECT_LE(threads.size(), workers + 1u) << workers << " workers";
+        }
+    }
+}
+
+TEST(ParallelFor, NullPoolIsTheSerialLoop)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<size_t> order;
+    parallelFor(nullptr, 5, [&](size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+    });
+    EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ParallelFor, RethrowsTheLowestThrowingIndex)
+{
+    // Index 3 is taken before 700, so it always runs and its exception
+    // wins, as in the serial loop, even when 700 throws first; the pool
+    // survives.
+    ThreadPool four(4);
+    for (ThreadPool *pool : {static_cast<ThreadPool *>(nullptr), &four}) {
+        for (int rep = 0; rep < 20; ++rep) {
+            try {
+                parallelFor(pool, 1000, [](size_t i) {
+                    if (i == 3)
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(2));
+                    if (i == 3 || i == 700)
+                        throw std::runtime_error("index " +
+                                                 std::to_string(i));
+                });
+                FAIL() << "parallelFor must rethrow";
+            } catch (const std::runtime_error &e) {
+                EXPECT_STREQ(e.what(), "index 3");
+            }
+        }
+    }
+    EXPECT_EQ(four.submit([] { return 5; }).get(), 5);
+}
+
+TEST(ParallelFor, NestedCallsFromInsidePoolTasksFinish)
+{
+    // The only worker runs the outer task, so every inner index falls
+    // to the caller; waiting on queued helpers would deadlock.
+    ThreadPool pool(1);
+    std::atomic<int> leaves{0};
+    auto outer = pool.submit([&] {
+        parallelFor(&pool, 4, [&](size_t) {
+            parallelFor(&pool, 8, [&](size_t) { leaves.fetch_add(1); });
+        });
+        return leaves.load();
+    });
+    ASSERT_EQ(outer.wait_for(std::chrono::seconds(60)),
+              std::future_status::ready);
+    EXPECT_EQ(outer.get(), 32);
+
+    // And from the calling thread of a wider pool, nested both ways.
+    ThreadPool wide(3);
+    std::atomic<int> more{0};
+    parallelFor(&wide, 6, [&](size_t) {
+        parallelFor(&wide, 6, [&](size_t) { more.fetch_add(1); });
+    });
+    EXPECT_EQ(more.load(), 36);
 }
 
 TEST(JobsFromCli, ParsesAndDefaults)

@@ -8,11 +8,14 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <unistd.h>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
+#include "util/page_allocator.hpp"
 #include "util/ppm.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -179,6 +182,31 @@ TEST(CommandLine, RejectUnreadAcceptsARepeatedFlagOnceRead)
 }
 
 // --- Rng ----------------------------------------------------------------
+
+TEST(PageAllocator, MapsLargeBlocksAndKeepsContents)
+{
+    // Blocks from kDirectBytes up are whole mapped pages; both kinds
+    // hold their contents through growth and copies.
+    const long page = sysconf(_SC_PAGESIZE);
+    for (size_t n : {size_t{16}, detail::kDirectBytes / 4 - 1,
+                     detail::kDirectBytes / 4, size_t{1} << 20}) {
+        std::vector<uint32_t, PageAllocator<uint32_t>> v(n);
+        for (size_t i = 0; i < n; ++i)
+            v[i] = static_cast<uint32_t>(i * 2654435761u);
+        if (n * 4 >= detail::kDirectBytes) {
+            EXPECT_EQ(reinterpret_cast<uintptr_t>(v.data()) %
+                          static_cast<uintptr_t>(page),
+                      0u)
+                << n;
+        }
+        v.push_back(7);
+        const auto copy = v;
+        ASSERT_EQ(copy.size(), n + 1);
+        for (size_t i = 0; i < n; ++i)
+            ASSERT_EQ(copy[i], static_cast<uint32_t>(i * 2654435761u)) << n;
+        EXPECT_EQ(copy.back(), 7u);
+    }
+}
 
 TEST(Rng, DeterministicForSameSeed)
 {
