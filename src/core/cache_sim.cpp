@@ -137,26 +137,6 @@ CacheSim::bindTexture(TextureId tid)
 }
 
 void
-CacheSim::quadImpl(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-                   uint32_t mip)
-{
-    frame_.accesses += 4;
-    // The bilinear footprint spans at most 2x2 L1 tiles, and usually
-    // just one: process each distinct tile corner once.
-    const uint32_t sh = l1_shift_;
-    const bool dx = (x0 >> sh) != (x1 >> sh);
-    const bool dy = (y0 >> sh) != (y1 >> sh);
-    handleTexel(x0, y0, mip);
-    if (dx)
-        handleTexel(x1, y0, mip);
-    if (dy) {
-        handleTexel(x0, y1, mip);
-        if (dx)
-            handleTexel(x1, y1, mip);
-    }
-}
-
-void
 CacheSim::accessBatch(std::span<const TexelRef> refs)
 {
     if (refs.empty())
@@ -171,44 +151,41 @@ CacheSim::accessBatch(std::span<const TexelRef> refs)
 void
 CacheSim::batchImpl(std::span<const TexelRef> refs)
 {
-    // The reuse profiler and the L1 3C classifier observe hits as well
-    // as misses, so the fast loop below (which skips filtered and hit
-    // texels' side-band work) cannot run under them: run the span
-    // through the per-texel path instead. The batch still amortizes
-    // the virtual call and the observability check above.
-    if (profiler_ || l1_class_) {
-        perTexelImpl(refs);
-        return;
-    }
-
-    // Fast loop, three phases per chunk:
-    //   1. staging: expand quads to their distinct tile corners (the
-    //      same dx/dy dedup quadImpl performs), drop the
-    //      coalescing-filter non-survivors — a corner whose
-    //      (tx, ty, mip) equals its predecessor's is a guaranteed hit
-    //      (handleTexel's one-entry filter: after any serviced texel
-    //      last_tile_ is exactly its tile, so "equals predecessor" is
-    //      the same predicate) — and compact the survivors into SoA
-    //      arrays. The access count folds into one frame-counter
-    //      update per chunk;
+    // Three phases per chunk:
+    //   1. staging: expand quads to their distinct tile corners (a
+    //      bilinear footprint spans at most 2x2 L1 tiles), drop the
+    //      coalescing-filter non-survivors, and compact the survivors
+    //      into SoA arrays. The filter is one entry: a corner whose
+    //      (tx, ty, mip) equals its predecessor's is a guaranteed hit,
+    //      since nothing can have evicted the line in between (after
+    //      any serviced texel last_tile_ is exactly its tile, so
+    //      "equals predecessor" is the filter's predicate). This is
+    //      what real hardware's quad coalescing does; the only
+    //      approximation is that repeats do not refresh the line's LRU
+    //      stamp. The access count folds into one frame-counter update
+    //      per chunk. Under a reuse profiler each pixel marker is kept
+    //      as a survivor-index boundary;
     //   2. run the fused <tid, L2blk, L1blk> translation over the
     //      survivors (one Morton interleave each, see l1_level_base_
     //      in cache_sim.hpp);
     //   3. probe the L1 tag planes over the survivor run with
-    //      lookupRun() — bookkeeping-identical to per-texel lookup()
-    //      calls — and drop each miss out to the per-texel slow path
-    //      handleMiss() before resuming the run behind it.
+    //      lookupRun() — bookkeeping-identical to per-texel lookups —
+    //      hand the run's hits and then its miss to the observers (reuse
+    //      profiler, L1 3C classifier) when any is attached, and drop
+    //      the miss out to handleMiss() before resuming the run behind
+    //      it.
     constexpr size_t kChunk = 256;
     uint32_t sxs[kChunk], sys[kChunk];
     uint32_t stx[kChunk], sty[kChunk], sms[kChunk];
     uint64_t skeys[kChunk];
-    // Tile key of survivor s, built on demand (miss bookkeeping and
-    // the filter carry only — the common all-hit case never packs it).
-    const auto tileAt = [&](size_t s) {
-        return (static_cast<uint64_t>(sms[s]) << 58) |
-               (static_cast<uint64_t>(sty[s]) << 29) |
-               static_cast<uint64_t>(stx[s]) | (1ull << 57);
-    };
+    // The chunk's pixel markers, kept only under a profiler: marker k
+    // moves the screen position to (mpx[k], mpy[k]) before survivor
+    // mat[k]. beginPixel() only sets the position, so of the markers
+    // between two survivors only the last is kept, and a chunk never
+    // holds more than kChunk.
+    uint32_t mat[kChunk], mpx[kChunk], mpy[kChunk];
+    ReuseProfiler *const prof = profiler_;
+    const bool observed = prof || l1_class_;
 
     const uint32_t sh = l1_shift_;
     // Unpack the filter tile into comparable components; when empty
@@ -226,7 +203,7 @@ CacheSim::batchImpl(std::span<const TexelRef> refs)
     const uint32_t sb = l1_sub_bits_, smask = l1_sub_mask_;
     size_t i = 0;
     while (i < refs.size()) {
-        size_t ns = 0;
+        size_t ns = 0, nm = 0;
         uint64_t acc = 0;
         // Filter one corner; appends a survivor.
         const auto corner = [&](uint32_t x, uint32_t y,
@@ -262,77 +239,74 @@ CacheSim::batchImpl(std::span<const TexelRef> refs)
                     if (dx)
                         corner(r.x1, r.y1, r.mip);
                 }
+            } else if (prof) [[unlikely]] {
+                // A pixel marker: it carries no texel work, and only
+                // the profiler reads the screen position.
+                if (nm != 0 && mat[nm - 1] == ns)
+                    --nm;
+                mat[nm] = static_cast<uint32_t>(ns);
+                mpx[nm] = r.x0;
+                mpy[nm] = r.y0;
+                ++nm;
             }
-            // Pixel markers carry no texel work; without a profiler
-            // attached (checked above) they are no-ops.
         }
         frame_.accesses += acc;
-        if (ns == 0)
-            continue;
 
-        for (size_t s = 0; s < ns; ++s) {
-            const uint32_t code = mortonInterleave(stx[s], sty[s]);
-            skeys[s] = hi |
-                       (static_cast<uint64_t>(lb[sms[s]] + (code >> sb))
-                        << 8) |
-                       (code & smask);
-        }
+        size_t m = 0; // markers replayed
+        // Observe survivors [from, p]: the hits before p, then the miss
+        // at p (absent when p == ns), each after the markers staged
+        // before it — where the per-texel flow observes them.
+        const auto observe = [&](size_t from, size_t p) {
+            for (size_t s = from; s < std::min(p + 1, ns); ++s) {
+                for (; m < nm && mat[m] <= s; ++m)
+                    prof->beginPixel(mpx[m], mpy[m]);
+                observeL1(skeys[s], s < p, sxs[s], sys[s], sms[s]);
+            }
+        };
+        if (ns != 0) {
+            for (size_t s = 0; s < ns; ++s) {
+                const uint32_t code = mortonInterleave(stx[s], sty[s]);
+                skeys[s] = hi |
+                           (static_cast<uint64_t>(lb[sms[s]] +
+                                                  (code >> sb))
+                            << 8) |
+                           (code & smask);
+            }
 
-        size_t p = 0;
-        while (p < ns) {
-            p += l1_.lookupRun(skeys + p,
-                               static_cast<uint32_t>(ns - p));
-            if (p == ns)
-                break;
-            ++frame_.l1_misses;
-            // Exception contract: should handleMiss throw, leave the
-            // filter where the per-texel loop would — on the previous
-            // serviced texel's tile.
-            last_tile_ = p ? tileAt(p - 1) : prev;
-            handleMiss(sxs[p], sys[p], sms[p], skeys[p], tileAt(p));
-            ++p;
+            size_t p = 0;
+            while (p < ns) {
+                const size_t from = p;
+                p += l1_.lookupRun(skeys + p,
+                                   static_cast<uint32_t>(ns - p));
+                if (observed) [[unlikely]]
+                    observe(from, p);
+                if (p == ns)
+                    break;
+                ++frame_.l1_misses;
+                // Exception contract: should handleMiss throw, leave the
+                // filter on the previous serviced texel's tile.
+                last_tile_ =
+                    p ? tileKeyOf(sxs[p - 1], sys[p - 1], sms[p - 1]) : prev;
+                handleMiss(sxs[p], sys[p], sms[p], skeys[p],
+                           tileKeyOf(sxs[p], sys[p], sms[p]));
+                ++p;
+            }
+            prev = tileKeyOf(sxs[ns - 1], sys[ns - 1], sms[ns - 1]);
         }
-        prev = tileAt(ns - 1);
+        // Markers behind the chunk's last survivor leave the screen
+        // position on the last of them for the next chunk, the next
+        // batch and snapshots.
+        if (m < nm) [[unlikely]]
+            prof->beginPixel(mpx[nm - 1], mpy[nm - 1]);
     }
     last_tile_ = prev;
 }
 
 void
-CacheSim::perTexelImpl(std::span<const TexelRef> refs)
+CacheSim::observeL1(uint64_t key, bool l1_hit, uint32_t x, uint32_t y,
+                    uint32_t mip)
 {
-    for (const TexelRef &r : refs) {
-        switch (r.kind) {
-          case TexelRef::kTexel:
-            ++frame_.accesses;
-            handleTexel(r.x0, r.y0, r.mip);
-            break;
-          case TexelRef::kQuad:
-            quadImpl(r.x0, r.y0, r.x1, r.y1, r.mip);
-            break;
-          default:
-            if (profiler_) [[unlikely]]
-                profiler_->beginPixel(r.x0, r.y0);
-            break;
-        }
-    }
-}
-
-void
-CacheSim::handleTexel(uint32_t x, uint32_t y, uint32_t mip)
-{
-    // One-entry coalescing filter: consecutive references to the same
-    // L1 tile (the common case — filter footprints and scanline
-    // neighbours share tiles) are guaranteed hits, since nothing can
-    // have evicted the line in between. This is what real hardware's
-    // quad coalescing does; the only approximation is that repeats do
-    // not refresh the line's LRU stamp. Filtering on raw tile
-    // coordinates also skips the address translation itself.
-    const uint64_t tile = tileKeyOf(x, y, mip);
-    if (tile == last_tile_)
-        return;
-    const uint64_t key = l1_layout_->blockKeyOf(bound_, x, y, mip);
-    const bool l1_hit = l1_.lookup(key);
-    if (profiler_) [[unlikely]]
+    if (profiler_)
         profiler_->onL1Access(key, l1_hit, x, y, mip);
     if (l1_class_) {
         // The classifier sees the same post-coalescing stream the real
@@ -348,13 +322,6 @@ CacheSim::handleTexel(uint32_t x, uint32_t y, uint32_t mip)
             }
         }
     }
-    if (l1_hit) {
-        last_tile_ = tile;
-        return; // step B: L1 hit
-    }
-
-    ++frame_.l1_misses;
-    handleMiss(x, y, mip, key, tile);
 }
 
 // Out of line: the growth path of the queue would otherwise bloat

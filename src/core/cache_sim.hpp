@@ -203,11 +203,12 @@ class CacheSim final : public TexelAccessSink
      * The access path (docs/batched_access.md): one observability hook
      * crossing (tracer/self-timer/profiler-stage check) per span, SoA
      * address translation over the span, and a branch-free L1 probe.
-     * Misses fall out to the per-texel slow path handleMiss(), so fault
-     * injection, MIP degradation, 3C classification and reuse profiling
-     * are untouched semantically; every counter, snapshot and CSV is
-     * bit-identical to running the span through the per-texel loop
-     * perTexelImpl().
+     * Misses fall out to the per-texel slow path handleMiss(), and an
+     * attached reuse profiler or L1 3C classifier observes each
+     * post-coalescing reference in stream order, so every counter,
+     * snapshot and CSV is bit-identical to servicing the span one
+     * texel at a time (the reference loop the batch differential,
+     * tests/test_batch_equivalence.cpp, keeps).
      */
     void accessBatch(std::span<const TexelRef> refs) override;
 
@@ -337,15 +338,13 @@ class CacheSim final : public TexelAccessSink
   private:
     friend class CacheAuditor;
     friend class AuditTestPeer;
-    friend class BatchReferencePeer; ///< test-only: perTexelImpl()
-    /** Service one texel reference of the per-texel loop. */
-    void handleTexel(uint32_t x, uint32_t y, uint32_t mip);
+    friend class BatchReferencePeer; ///< test-only per-texel reference
 
     /**
      * Service an L1 miss already counted by the caller: pull download
      * or L2 lookup, fault handling, degradation, classification, L1
-     * fill. Shared verbatim by the per-texel loop and the staged fast
-     * loop (which only replaces the filter + L1 probe in front of it).
+     * fill. batchImpl() drops each miss of its staged run out to it
+     * (so does the per-texel reference loop of the batch differential).
      * Every exit leaves last_tile_ == @p tile.
      */
     void handleMiss(uint32_t x, uint32_t y, uint32_t mip, uint64_t key,
@@ -362,23 +361,16 @@ class CacheSim final : public TexelAccessSink
     /** Queue one L1 miss for drainSharedL2() (shared L2 only). */
     void queueSharedMiss(uint32_t t_index, uint32_t l1_sub, uint32_t mip);
 
-    /** One bilinear quad of the per-texel loop: each distinct tile
-     *  corner through handleTexel(). */
-    void quadImpl(uint32_t x0, uint32_t y0, uint32_t x1, uint32_t y1,
-                  uint32_t mip);
-
-    /** accessBatch body, shared by the observed and unobserved
-     *  branches. */
+    /** accessBatch body: the staged loop (see the .cpp). */
     void batchImpl(std::span<const TexelRef> refs);
 
     /**
-     * The per-texel loop: each texel through handleTexel(), each quad
-     * through quadImpl(), each pixel marker to the reuse profiler.
-     * batchImpl() runs it under a profiler or L1 3C classifier, and the
-     * batch differential (tests/test_batch_equivalence.cpp) uses it as
-     * the reference the staged fast loop must match byte for byte.
+     * Hand one post-coalescing L1 reference to the attached observers:
+     * the reuse profiler and the L1 3C classifier (whose classes it
+     * counts into the frame).
      */
-    void perTexelImpl(std::span<const TexelRef> refs);
+    void observeL1(uint64_t key, bool l1_hit, uint32_t x, uint32_t y,
+                   uint32_t mip);
 
     /**
      * Coalescing-filter key of the L1 tile containing (x, y, mip); bit

@@ -55,28 +55,31 @@ SetAssocL2Sim::accessBatch(std::span<const TexelRef> refs)
     for (const TexelRef &r : refs) {
         if (r.kind == TexelRef::kTexel) {
             ++frame_.accesses;
-            handleTexel(r.x0, r.y0, r.mip);
+            serviceTexel(r.x0, r.y0, r.mip);
         } else if (r.kind == TexelRef::kQuad) {
             frame_.accesses += 4;
             const bool dx = (r.x0 >> sh) != (r.x1 >> sh);
             const bool dy = (r.y0 >> sh) != (r.y1 >> sh);
-            handleTexel(r.x0, r.y0, r.mip);
+            serviceTexel(r.x0, r.y0, r.mip);
             if (dx)
-                handleTexel(r.x1, r.y0, r.mip);
+                serviceTexel(r.x1, r.y0, r.mip);
             if (dy) {
-                handleTexel(r.x0, r.y1, r.mip);
+                serviceTexel(r.x0, r.y1, r.mip);
                 if (dx)
-                    handleTexel(r.x1, r.y1, r.mip);
+                    serviceTexel(r.x1, r.y1, r.mip);
             }
         }
     }
 }
 
 void
-SetAssocL2Sim::handleTexel(uint32_t x, uint32_t y, uint32_t mip)
+SetAssocL2Sim::serviceTexel(uint32_t x, uint32_t y, uint32_t mip)
 {
     const uint64_t l1_key = l1_layout_->blockKeyOf(bound_, x, y, mip);
-    // One-entry coalescing filter (see CacheSim::handleTexel).
+    // One-entry coalescing filter on the L1 block key: a repeat of the
+    // last serviced line is a guaranteed hit. Unlike CacheSim's tile
+    // filter it is not cleared by bindTexture() (the key carries the
+    // texture id).
     if (l1_key == last_hit_key_)
         return;
     if (l1_.lookup(l1_key)) {

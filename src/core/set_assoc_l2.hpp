@@ -57,7 +57,7 @@ class SetAssocL2Sim final : public TexelAccessSink
 
   private:
     /** Service one texel reference (each distinct quad corner). */
-    void handleTexel(uint32_t x, uint32_t y, uint32_t mip);
+    void serviceTexel(uint32_t x, uint32_t y, uint32_t mip);
 
     struct Line
     {
