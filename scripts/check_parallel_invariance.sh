@@ -3,9 +3,10 @@
 # output of a parallel run must be byte-identical to the serial run.
 #
 # Runs cache_explorer (stdout, metrics JSONL, MRC/working-set CSVs,
-# heatmap JSON, the sweep's snapshot and its manifest) and three
-# representative bench drivers (stdout + CSVs) at --jobs 1 and --jobs 8
-# and byte-compares everything. The only permitted differences are the
+# heatmap JSON, the sweep's snapshot and its manifest), record_replay
+# (stdout and each replay leg's MRC files) and three representative
+# bench drivers (stdout + CSVs) at --jobs 1 and --jobs 8 and
+# byte-compares everything. The only permitted differences are the
 # worker count echoed in the banner and absolute paths, which are
 # normalized before the diff. See docs/parallelism.md.
 #
@@ -78,6 +79,32 @@ for f in stdout.txt run.jsonl ms.stream0.csv ms.stream1.csv \
     fi
     if ! diff -u "$WORK/a" "$WORK/b" > /dev/null; then
         echo "FAIL: multi-stream $f differs between jobs=1 and jobs=8"
+        fail=1
+    fi
+done
+
+replay() { # jobs outdir
+    mkdir -p "$2"
+    "$BUILD/examples/record_replay" --workload village --frames 2 \
+        --jobs "$1" --trace "$2/clip.bin" --mrc-out "$2/mrc" \
+        > "$2/stdout.txt"
+}
+
+echo "== record_replay --mrc-out (jobs 1 vs 8) =="
+replay 1 "$WORK/r1"
+replay 8 "$WORK/r8"
+for f in stdout.txt \
+         mrc.pull2.csv mrc.pull2.ws.csv mrc.pull2.json \
+         mrc.pull16.csv mrc.pull16.ws.csv mrc.pull16.json \
+         mrc.l2_1mb.csv mrc.l2_1mb.ws.csv mrc.l2_1mb.json \
+         mrc.l2_4mb.csv mrc.l2_4mb.ws.csv mrc.l2_4mb.json; do
+    if ! normalize "$WORK/r1/$f" "$WORK/r1" > "$WORK/a" || \
+       ! normalize "$WORK/r8/$f" "$WORK/r8" > "$WORK/b"; then
+        echo "FAIL: missing artifact $f"; fail=1; continue
+    fi
+    if ! diff -u "$WORK/a" "$WORK/b" > /dev/null; then
+        echo "FAIL: record_replay $f differs between jobs=1 and jobs=8"
+        diff -u "$WORK/a" "$WORK/b" | head -20
         fail=1
     fi
 done
