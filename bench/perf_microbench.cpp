@@ -252,9 +252,9 @@ BM_CacheSimAccessBatchProduce(benchmark::State &state)
 BENCHMARK(BM_CacheSimAccessBatchProduce);
 
 /**
- * Batched path with 3C classification on: the hit-observing shadow
- * models force the per-texel loop, so only the per-batch hook
- * amortisation remains — the gate bounds it as
+ * Batched path with 3C classification on: the staged loop hands every
+ * post-coalescing reference to the shadow models, whose per-reference
+ * work dominates the all-hit scan, so the gate bounds this row as
  * no-slower-than BM_CacheSimAccessScanClassified rather than 2x.
  */
 void

@@ -38,10 +38,12 @@ Two machine-independent gates run inside the candidate file alone:
   construction) must beat BM_CacheSimAccessScan by --batch-produce-
   speedup (default 1.5): batching wins end to end, not just at the
   consumer.
-* BM_CacheSimAccessBatchClassified (spans forced onto the per-texel
-  loop by the hit-observing 3C shadow models) must be no slower than --batch-classified-speedup (default
-  0.95) times BM_CacheSimAccessScanClassified — batching must never
-  cost observed runs anything.
+* BM_CacheSimAccessBatchClassified (256-ref spans through the staged
+  loop with the 3C shadow models observing every post-coalescing
+  reference) must be no slower than --batch-classified-speedup
+  (default 0.95) times BM_CacheSimAccessScanClassified (the same
+  observed loop fed one-ref spans) — batching must never cost
+  observed runs anything.
 
 With --json-out PATH a machine-readable verdict (per-benchmark ratios,
 in-run overheads, pass/fail) is written alongside the human table — the
