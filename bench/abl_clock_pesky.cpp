@@ -59,9 +59,12 @@ class PeskyProbe final : public TexelAccessSink
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace mltc::bench;
+
+    if (const int status = rejectFlags(argc, argv))
+        return status;
 
     banner("Ablation: clock victim-search cost (the 'pesky' study)",
            "Distribution of BRL search lengths; paper: searching 16 bits "
@@ -75,7 +78,7 @@ main()
     for (const std::string &name : workloadNames()) {
         TextTable table({name + " L2 size", "evictions", "mean steps",
                          "p99 steps", "max steps", "max 16-wide cycles"});
-        Workload wl = buildWorkload(name);
+        const Workload wl = buildWorkload(name, benchPool());
         DriverConfig cfg;
         cfg.filter = FilterMode::Trilinear;
         cfg.frames = n_frames;

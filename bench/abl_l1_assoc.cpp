@@ -9,10 +9,13 @@
 #include "workload/registry.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace mltc;
     using namespace mltc::bench;
+
+    if (const int status = rejectFlags(argc, argv))
+        return status;
 
     banner("Ablation: L1 associativity",
            "L1 hit rate by associativity (Village, trilinear, no L2)");
@@ -21,7 +24,7 @@ main()
     const uint32_t assocs[] = {1, 2, 4, 0}; // 0 = fully associative
     const uint64_t sizes[] = {2 * 1024, 16 * 1024};
 
-    Workload wl = buildWorkload("village");
+    const Workload wl = buildWorkload("village", benchPool());
     DriverConfig cfg;
     cfg.filter = FilterMode::Trilinear;
     cfg.frames = n_frames;

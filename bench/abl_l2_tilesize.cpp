@@ -12,10 +12,13 @@
 #include "workload/registry.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace mltc;
     using namespace mltc::bench;
+
+    if (const int status = rejectFlags(argc, argv))
+        return status;
 
     banner("Ablation: L2 tile size",
            "Bandwidth and page-table cost by L2 tile size (2KB L1 + 2MB "
@@ -28,7 +31,7 @@ main()
                    "page_table_kb_per_32mb"});
 
     for (const std::string &name : workloadNames()) {
-        Workload wl = buildWorkload(name);
+        const Workload wl = buildWorkload(name, benchPool());
         DriverConfig cfg;
         cfg.filter = FilterMode::Trilinear;
         cfg.frames = n_frames;

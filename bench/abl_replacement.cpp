@@ -10,10 +10,13 @@
 #include "workload/registry.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace mltc;
     using namespace mltc::bench;
+
+    if (const int status = rejectFlags(argc, argv))
+        return status;
 
     banner("Ablation: L2 replacement policy",
            "Host bandwidth by victim-selection algorithm (2KB L1 + 2MB "
@@ -29,7 +32,7 @@ main()
                    "worst_clock_steps"});
 
     for (const std::string &name : workloadNames()) {
-        Workload wl = buildWorkload(name);
+        const Workload wl = buildWorkload(name, benchPool());
         DriverConfig cfg;
         cfg.filter = FilterMode::Trilinear;
         cfg.frames = n_frames;

@@ -11,10 +11,13 @@
 #include "workload/registry.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace mltc;
     using namespace mltc::bench;
+
+    if (const int status = rejectFlags(argc, argv))
+        return status;
 
     banner("Ablation: L2 associativity",
            "Fully-associative (page table + clock) vs 1/2/4-way "
@@ -25,7 +28,7 @@ main()
                   {"workload", "organisation", "mb_per_frame", "h2full"});
 
     for (const std::string &name : workloadNames()) {
-        Workload wl = buildWorkload(name);
+        const Workload wl = buildWorkload(name, benchPool());
         DriverConfig cfg;
         cfg.filter = FilterMode::Trilinear;
         cfg.frames = n_frames;

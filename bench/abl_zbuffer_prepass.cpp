@@ -10,10 +10,13 @@
 #include "workload/registry.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace mltc;
     using namespace mltc::bench;
+
+    if (const int status = rejectFlags(argc, argv))
+        return status;
 
     banner("Ablation: z-prepass before texturing",
            "Depth complexity, working set and bandwidth with and without "
@@ -27,8 +30,8 @@ main()
     for (const std::string &name : workloadNames()) {
         TextTable table({name + " mode", "depth d", "L2 WS (MB/frame)",
                          "host MB/frame"});
+        const Workload wl = buildWorkload(name, benchPool());
         for (int mode = 0; mode < 2; ++mode) {
-            Workload wl = buildWorkload(name);
             DriverConfig cfg;
             cfg.filter = FilterMode::Trilinear;
             cfg.frames = n_frames;

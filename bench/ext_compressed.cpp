@@ -8,16 +8,21 @@
  * vs pull+BTC vs L2 vs L2+BTC — to show they compose (compression
  * scales the download cost; the L2 removes downloads altogether).
  */
+#include <optional>
+
 #include "bench_common.hpp"
 #include "sim/multi_config_runner.hpp"
 #include "texture/btc.hpp"
 #include "workload/registry.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace mltc;
     using namespace mltc::bench;
+
+    if (const int status = rejectFlags(argc, argv))
+        return status;
 
     banner("Extension: BTC-compressed host textures (3 bits/texel)",
            "Pull vs L2, each with 32-bit and BTC-compressed host "
@@ -31,21 +36,27 @@ main()
     const std::vector<std::string> names = workloadNames();
     std::vector<std::vector<std::vector<std::string>>> rows(
         names.size() * 2);
-    SweepExecutor sweep(benchJobs());
+    const auto built = buildWorkloads(names);
+    SweepExecutor sweep(benchPool());
     for (size_t w = 0; w < names.size(); ++w)
         for (int compressed = 0; compressed < 2; ++compressed) {
             const size_t slot = w * 2 + static_cast<size_t>(compressed);
             const std::string name = names[w];
             sweep.addLeg(name + (compressed ? "_btc" : "_raw"),
                          [&, slot, name, compressed](LegContext &ctx) {
-                Workload wl = buildWorkload(name);
-                if (compressed)
+                // A BTC leg rewrites its textures' host format, so it
+                // builds a private copy of the workload.
+                std::optional<Workload> btc;
+                if (compressed) {
+                    btc = buildWorkload(name, benchPool());
                     for (TextureId t = 1;
                          t <= static_cast<TextureId>(
-                                  wl.textures->textureCount());
+                                  btc->textures->textureCount());
                          ++t)
-                        wl.textures->setHostBitsPerTexel(
+                        btc->textures->setHostBitsPerTexel(
                             t, kBtcBitsPerTexel);
+                }
+                const Workload &wl = btc ? *btc : built.at(name);
 
                 DriverConfig cfg;
                 cfg.filter = FilterMode::Trilinear;

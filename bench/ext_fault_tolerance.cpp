@@ -46,11 +46,12 @@ main(int argc, char **argv)
     std::vector<std::vector<std::vector<std::string>>> csv_rows(
         names.size());
     std::vector<RunManifest> manifests(names.size());
-    SweepExecutor sweep(benchJobs());
+    const auto built = buildWorkloads(names);
+    SweepExecutor sweep(benchPool());
     for (size_t w = 0; w < names.size(); ++w) {
         const std::string name = names[w];
         sweep.addLeg(name, [&, w, name](LegContext &ctx) {
-            Workload wl = buildWorkload(name);
+            const Workload &wl = built.at(name);
             DriverConfig cfg;
             cfg.filter = FilterMode::Trilinear;
             cfg.frames = n_frames;

@@ -14,17 +14,20 @@
 #include "workload/terrain.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace mltc;
     using namespace mltc::bench;
+
+    if (const int status = rejectFlags(argc, argv))
+        return status;
 
     banner("Extension: future workload (Terrain)",
            "Uniquely-textured terrain fly-over: L2 capacity sensitivity "
            "(2KB L1, trilinear)");
 
     const int n_frames = frames(36);
-    Workload wl = buildTerrain();
+    const Workload wl = buildTerrain({}, benchPool());
     std::printf("terrain: %zu objects, %s of texture (one unique 2048^2 "
                 "satellite map)\n",
                 wl.scene.objects().size(),

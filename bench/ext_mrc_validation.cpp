@@ -48,7 +48,7 @@ replayInto(const std::string &path, CacheSim &sim)
 
 /** One profiled replay; returns the profiler for inspection. */
 std::unique_ptr<ReuseProfiler>
-profiledReplay(const std::string &path, Workload &wl, double rate)
+profiledReplay(const std::string &path, const Workload &wl, double rate)
 {
     CacheSimConfig sc = CacheSimConfig::pull(4 * 1024);
     CacheSim sim(*wl.textures, sc, "profiled");
@@ -70,8 +70,9 @@ main(int argc, char **argv)
 {
     using namespace mltc;
     using namespace mltc::bench;
-    (void)argc;
-    (void)argv;
+
+    if (const int status = rejectFlags(argc, argv))
+        return status;
 
     banner("Extension: single-pass MRC validation",
            "One-pass reuse-distance MRC vs exhaustive fully-associative "
@@ -79,20 +80,21 @@ main(int argc, char **argv)
 
     const int n_frames = frames(2);
 
-    // One leg per workload on the work-stealing pool (MLTC_JOBS); each
-    // leg records and replays its own private trace clip, so legs stay
-    // fully independent. CSV rows land in leg-indexed slots and tables
+    // One leg per workload on the bench pool (MLTC_JOBS), over the
+    // workload built once before the sweep; each leg records and
+    // replays its own private trace clip, so legs stay independent. CSV rows land in leg-indexed slots and tables
     // stream through the ordered leg buffers — byte-identical for any
     // worker count.
     const std::vector<std::string> names = {"village", "city"};
     std::vector<std::vector<std::vector<std::string>>> csv_rows(
         names.size());
     std::vector<int> fail_counts(names.size(), 0);
-    SweepExecutor sweep(benchJobs());
+    const auto built = buildWorkloads(names);
+    SweepExecutor sweep(benchPool());
     for (size_t w = 0; w < names.size(); ++w) {
         const std::string name = names[w];
         sweep.addLeg(name, [&, w, name](LegContext &ctx) {
-            Workload wl = buildWorkload(name);
+            const Workload &wl = built.at(name);
             // Half-resolution keeps the trace small; the reference
             // stream's locality structure is what matters, not the
             // pixel count.

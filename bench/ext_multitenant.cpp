@@ -54,7 +54,7 @@ main(int argc, char **argv)
         ms.l2_bytes = 1ull << 20;
         ms.share = share;
         ms.repartition_every = 2;
-        ms.jobs = benchJobs();
+        ms.jobs = ThreadPool::defaultJobs();
         return ms;
     };
     auto victimSpec = [] {

@@ -10,16 +10,21 @@
  * shared across objects and heavily tiled, so the L2 absorbs almost
  * all of its traffic.
  */
+#include <optional>
+
 #include "bench_common.hpp"
 #include "sim/multi_config_runner.hpp"
 #include "texture/procedural.hpp"
 #include "workload/village.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace mltc;
     using namespace mltc::bench;
+
+    if (const int status = rejectFlags(argc, argv))
+        return status;
 
     banner("Extension: multitexturing (detail layer, two-pass)",
            "Village with a shared detail texture on its large surfaces "
@@ -31,17 +36,22 @@ main()
     // CSV rows land in leg-indexed slots and stdout is buffered in leg
     // order — byte-identical for any worker count.
     std::vector<std::vector<std::string>> rows(2);
-    SweepExecutor sweep(benchJobs());
+    const Workload village = buildVillage({}, benchPool());
+    SweepExecutor sweep(benchPool());
     for (int with_detail = 0; with_detail < 2; ++with_detail) {
         const char *label =
             with_detail ? "base + detail layer" : "single texture";
         sweep.addLeg(label, [&, with_detail, label](LegContext &ctx) {
-            Workload wl = buildVillage();
+            // The detail leg adds a texture and rewrites scene objects,
+            // so it builds a private copy of the Village.
+            std::optional<Workload> detailed;
             if (with_detail) {
-                TextureId noise = wl.textures->load(
+                detailed = buildVillage({}, benchPool());
+                TextureId noise = detailed->textures->load(
                     "detail_noise", MipPyramid(makeDirt(256, 0x0e7a11)));
-                for (size_t i = 0; i < wl.scene.objects().size(); ++i) {
-                    SceneObject &obj = wl.scene.object(i);
+                for (size_t i = 0; i < detailed->scene.objects().size();
+                     ++i) {
+                    SceneObject &obj = detailed->scene.object(i);
                     if (obj.name == "ground" ||
                         obj.name.rfind("street", 0) == 0 ||
                         obj.name.rfind("hill", 0) == 0 ||
@@ -51,6 +61,7 @@ main()
                     }
                 }
             }
+            const Workload &wl = detailed ? *detailed : village;
 
             DriverConfig cfg;
             cfg.filter = FilterMode::Trilinear;

@@ -14,10 +14,13 @@
 #include "workload/registry.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace mltc;
     using namespace mltc::bench;
+
+    if (const int status = rejectFlags(argc, argv))
+        return status;
 
     banner("Extension: timing model",
            "Frame-time bounds (AGP 512 MB/s, local DRAM 1 GB/s) and "
@@ -32,11 +35,12 @@ main()
     const std::vector<std::string> names = workloadNames();
     std::vector<std::vector<std::vector<std::string>>> csv_rows(
         names.size());
-    SweepExecutor sweep(benchJobs());
+    const auto built = buildWorkloads(names);
+    SweepExecutor sweep(benchPool());
     for (size_t w = 0; w < names.size(); ++w) {
         const std::string name = names[w];
         sweep.addLeg(name, [&, w, name](LegContext &ctx) {
-            Workload wl = buildWorkload(name);
+            const Workload &wl = built.at(name);
             DriverConfig cfg;
             cfg.filter = FilterMode::Trilinear;
             cfg.frames = n_frames;

@@ -8,10 +8,13 @@
 #include "model/working_set_model.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace mltc;
     using namespace mltc::bench;
+
+    if (const int status = rejectFlags(argc, argv))
+        return status;
 
     banner("Figure 3",
            "Expected inter-frame working set W = R*d*4/utilization (MB)");

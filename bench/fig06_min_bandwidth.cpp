@@ -13,10 +13,13 @@
 #include "workload/registry.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace mltc;
     using namespace mltc::bench;
+
+    if (const int status = rejectFlags(argc, argv))
+        return status;
 
     banner("Figure 6",
            "Minimum L1 download bandwidth per frame: total vs new, for "
@@ -26,10 +29,12 @@ main()
     // One leg per workload on the work-stealing pool (MLTC_JOBS);
     // leg-ordered buffered stdout keeps output byte-identical for any
     // worker count.
-    SweepExecutor sweep(benchJobs());
-    for (const std::string &name : workloadNames())
+    const std::vector<std::string> names = workloadNames();
+    const auto built = buildWorkloads(names);
+    SweepExecutor sweep(benchPool());
+    for (const std::string &name : names)
         sweep.addLeg(name, [&, name](LegContext &ctx) {
-            Workload wl = buildWorkload(name);
+            const Workload &wl = built.at(name);
             DriverConfig cfg;
             cfg.filter = FilterMode::Point;
             cfg.frames = n_frames;

@@ -45,13 +45,13 @@ main(int argc, char **argv)
     // One leg per filter pass on the work-stealing pool (MLTC_JOBS);
     // each leg writes its own per-filter CSV and its stdout is buffered
     // in leg order, so output is byte-identical for any worker count.
-    SweepExecutor sweep(benchJobs());
+    const Workload wl = buildWorkload("village", benchPool());
+    SweepExecutor sweep(benchPool());
     for (int pass = 0; pass < 2; ++pass) {
         const FilterMode filter =
             pass == 0 ? FilterMode::Bilinear : FilterMode::Trilinear;
         sweep.addLeg(filterModeName(filter),
                      [&, pass, filter](LegContext &ctx) {
-            Workload wl = buildWorkload("village");
             DriverConfig cfg;
             cfg.filter = filter;
             cfg.frames = n_frames;

@@ -42,11 +42,12 @@ main(int argc, char **argv)
     // leg order — byte-identical output for any worker count.
     const std::vector<std::string> names = workloadNames();
     std::vector<RunManifest> manifests(names.size());
-    SweepExecutor sweep(benchJobs());
+    const auto built = buildWorkloads(names);
+    SweepExecutor sweep(benchPool());
     for (size_t w = 0; w < names.size(); ++w) {
         const std::string name = names[w];
         sweep.addLeg(name, [&, w, name](LegContext &ctx) {
-            Workload wl = buildWorkload(name);
+            const Workload &wl = built.at(name);
             DriverConfig cfg;
             cfg.filter = FilterMode::Trilinear;
             cfg.frames = n_frames;

@@ -12,10 +12,13 @@
 #include "workload/registry.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace mltc;
     using namespace mltc::bench;
+
+    if (const int status = rejectFlags(argc, argv))
+        return status;
 
     banner("Figure 11 / Table 8",
            "Texture page table TLB hit rates vs entries (2KB L1, 2MB L2, "
@@ -29,11 +32,13 @@ main()
     // Leg-ordered buffered stdout and leg-indexed result slots keep the
     // output byte-identical for any worker count.
     double rates[5][2];
-    SweepExecutor sweep(benchJobs());
+    const std::vector<std::string> names = workloadNames();
+    const auto built = buildWorkloads(names);
+    SweepExecutor sweep(benchPool());
 
     // --- Figure 11: Village, trilinear, per-frame curves ---------------
     sweep.addLeg("fig11_village_trilinear", [&](LegContext &ctx) {
-        Workload wl = buildWorkload("village");
+        const Workload &wl = built.at("village");
         DriverConfig cfg;
         cfg.filter = FilterMode::Trilinear;
         cfg.frames = n_frames;
@@ -58,11 +63,10 @@ main()
     });
 
     // --- Table 8: both workloads, bilinear, averages --------------------
-    const std::vector<std::string> names = workloadNames();
     for (size_t col = 0; col < names.size(); ++col) {
         const std::string name = names[col];
         sweep.addLeg("tab08_" + name, [&, col, name](LegContext &) {
-            Workload wl = buildWorkload(name);
+            const Workload &wl = built.at(name);
             DriverConfig cfg;
             cfg.filter = FilterMode::Bilinear;
             cfg.frames = n_frames;

@@ -10,10 +10,13 @@
 #include "workload/registry.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace mltc;
     using namespace mltc::bench;
+
+    if (const int status = rejectFlags(argc, argv))
+        return status;
 
     banner("Table 1",
            "Workload statistics and expected inter-frame working set W\n"
@@ -29,11 +32,12 @@ main()
     const std::vector<std::string> names = workloadNames();
     std::vector<double> d_row(names.size()), util_row(names.size()),
         w_row(names.size());
-    SweepExecutor sweep(benchJobs());
+    const auto built = buildWorkloads(names);
+    SweepExecutor sweep(benchPool());
     for (size_t w = 0; w < names.size(); ++w) {
         const std::string name = names[w];
         sweep.addLeg(name, [&, w, name](LegContext &) {
-            Workload wl = buildWorkload(name);
+            const Workload &wl = built.at(name);
             DriverConfig cfg;
             cfg.filter = FilterMode::Point;
             cfg.frames = n_frames;

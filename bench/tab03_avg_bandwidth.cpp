@@ -53,8 +53,9 @@ main(int argc, char **argv)
                                   "2KB L1 + 2MB L2", "2KB L1 + 4MB L2",
                                   "2KB L1 + 8MB L2"};
 
-    // One leg per (workload, filter): each builds its own workload and
-    // five-sim runner, checkpoints to its own `<base>.<leg>.snap`, and
+    // One leg per (workload, filter), over the workloads built once
+    // before the sweep: each leg owns its five-sim runner, checkpoints
+    // to its own `<base>.<leg>.snap`, and
     // drops its averages into a leg-indexed slot. The CSV and tables
     // are rendered after the sweep in leg order, so the bytes are
     // identical for any MLTC_JOBS (docs/parallelism.md).
@@ -65,7 +66,8 @@ main(int argc, char **argv)
     std::vector<std::array<double, 5>> avgs(n_legs);
     std::vector<RunManifest> manifests(n_legs);
 
-    SweepExecutor sweep(benchJobs());
+    const auto built = buildWorkloads(names);
+    SweepExecutor sweep(benchPool());
     for (size_t w = 0; w < names.size(); ++w)
         for (int pass = 0; pass < 2; ++pass) {
             const size_t slot = w * 2 + static_cast<size_t>(pass);
@@ -73,7 +75,7 @@ main(int argc, char **argv)
             const FilterMode filter = filters[pass];
             const std::string leg = name + "_" + filterModeName(filter);
             sweep.addLeg(leg, [&, slot, name, filter](LegContext &) {
-                Workload wl = buildWorkload(name);
+                const Workload &wl = built.at(name);
                 DriverConfig cfg;
                 cfg.filter = filter;
                 cfg.frames = n_frames;

@@ -8,10 +8,13 @@
 #include "model/structure_size_model.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace mltc;
     using namespace mltc::bench;
+
+    if (const int status = rejectFlags(argc, argv))
+        return status;
 
     banner("Table 4",
            "Memory requirements of L2 caching structures (16x16 L2 tiles, "

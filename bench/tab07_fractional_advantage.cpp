@@ -14,10 +14,13 @@
 #include "workload/registry.hpp"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace mltc;
     using namespace mltc::bench;
+
+    if (const int status = rejectFlags(argc, argv))
+        return status;
 
     banner("Table 7",
            "Fractional advantage f of L2 caching (2KB L1 + 2MB L2, c = "
@@ -33,7 +36,8 @@ main()
     const FilterMode filters[] = {FilterMode::Bilinear,
                                   FilterMode::Trilinear};
     std::vector<PerformanceInputs> inputs(names.size() * 2);
-    SweepExecutor sweep(benchJobs());
+    const auto built = buildWorkloads(names);
+    SweepExecutor sweep(benchPool());
     for (size_t w = 0; w < names.size(); ++w)
         for (int pass = 0; pass < 2; ++pass) {
             const size_t slot = w * 2 + static_cast<size_t>(pass);
@@ -41,7 +45,7 @@ main()
             const FilterMode filter = filters[pass];
             sweep.addLeg(name + "_" + filterModeName(filter),
                          [&, slot, name, filter](LegContext &) {
-                             Workload wl = buildWorkload(name);
+                             const Workload &wl = built.at(name);
                              DriverConfig cfg;
                              cfg.filter = filter;
                              cfg.frames = n_frames;

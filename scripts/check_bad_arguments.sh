@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
-# Bad-argument proof for the example drivers and the benches that take
-# flags: a malformed flag value or a flag the tool does not know must
-# print a typed "[bad-argument] ..." error and exit with the usage
-# status 2, never abort on an uncaught exception (SIGABRT, 134) or run
-# on with the flag ignored.
+# Bad-argument proof for the example drivers and the benches, both
+# those that take flags and those that take none (they read
+# MLTC_FRAMES, not --frames): a malformed flag value or a flag the tool
+# does not know must print a typed "[bad-argument] ..." error and exit
+# with the usage status 2, never abort on an uncaught exception
+# (SIGABRT, 134) or run on with the flag ignored.
 #
 # Usage: scripts/check_bad_arguments.sh BUILD_DIR
 # Registered as the ctest case `bad_arguments_script`.
@@ -51,5 +52,7 @@ expect_usage bench/tab03_avg_bandwidth --checkpoint-every=x
 expect_usage bench/fig09_tab02_l1 --bogus-flag
 expect_usage bench/ext_chaos --seed=x
 expect_usage bench/ext_multitenant --frames 4
+expect_usage bench/abl_l1_assoc --frames 5
+expect_usage bench/tab05_06_l2_hitrates --bogus
 
 exit "$fail"

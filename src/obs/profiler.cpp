@@ -568,8 +568,9 @@ StageProfiler::renderJsonLocked()
     w.endArray();
 
     // Legs and streams in annotation registration order: SweepExecutor
-    // registers legs in addLeg() order, so a profile merged from any
-    // --jobs N schedule lists them identically.
+    // interns its legs in addLeg() order and MultiStreamRunner its
+    // tenants in stream order before any runs, so a profile merged
+    // from any --jobs N schedule lists them identically.
     const auto annotations = [&](const char *prefix) {
         for (const char *name : intern_order_) {
             if (std::strncmp(name, prefix, std::strlen(prefix)) != 0)

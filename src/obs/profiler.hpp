@@ -208,7 +208,8 @@ class StageProfiler
      * Intern an annotation name (sweep leg, tenant stream), returning
      * a pointer stable for the profiler's lifetime. Registration order
      * is remembered: the JSON summary lists legs/streams in first-
-     * intern order, which SweepExecutor registration order induces.
+     * intern order: SweepExecutor interns legs in addLeg() order,
+     * MultiStreamRunner its tenants in stream order.
      */
     const char *intern(const std::string &name);
 

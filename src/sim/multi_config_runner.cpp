@@ -72,7 +72,7 @@ sweepCandidates(const std::string &sweep, const HostPathConfig &host,
     return candidates;
 }
 
-MultiConfigRunner::MultiConfigRunner(Workload &workload,
+MultiConfigRunner::MultiConfigRunner(const Workload &workload,
                                      const DriverConfig &config,
                                      ThreadPool *pool)
     : workload_(workload), config_(config), pool_(pool)

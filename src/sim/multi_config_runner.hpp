@@ -88,7 +88,7 @@ class MultiConfigRunner
      *        rasterizer's thread feeds them directly). The working-set,
      *        push-model and extra sinks always stay on that thread.
      */
-    MultiConfigRunner(Workload &workload, const DriverConfig &config,
+    MultiConfigRunner(const Workload &workload, const DriverConfig &config,
                       ThreadPool *pool = nullptr);
 
     /** Register a cache simulator; returned reference stays valid. */
@@ -196,7 +196,7 @@ class MultiConfigRunner
     /** Crash-loop containment: revive due simulators before @p frame. */
     void reviveQuarantined(const ResilienceConfig &rc, int frame);
 
-    Workload &workload_;
+    const Workload &workload_;
     DriverConfig config_;
     ThreadPool *pool_; ///< borrowed; null = consume on the caller
     std::vector<std::unique_ptr<CacheSim>> sims_;

@@ -1,16 +1,17 @@
 /**
  * @file
  * Parallel sweep executor: runs independent simulation legs (one leg ==
- * one MultiConfigRunner pass over its own Workload) concurrently while
+ * one MultiConfigRunner pass, or one trace replay) concurrently while
  * keeping every observable output byte-identical to the serial run and
  * invariant to thread count.
  *
  * Determinism model — compute in parallel, emit in order:
  *
- *  - legs never share mutable state: each leg builds its own Workload
- *    (TextureManager layouts are lazily cached), its own runner, its
- *    own sims (so fault-injection RNG streams are per-leg exactly as in
- *    the serial program), and writes results only into its own slot;
+ *  - legs never share mutable state: legs may read one immutable
+ *    Workload (its TextureManager layout cache takes a mutex), but each
+ *    owns its runner and its sims (so fault-injection RNG streams are
+ *    per-leg exactly as in the serial program) and writes results only
+ *    into its own slot;
  *  - console output produced inside a leg goes through
  *    LegContext::printf into a per-leg buffer; SweepExecutor flushes
  *    buffers to stdout strictly in leg registration order (streaming:
@@ -23,9 +24,9 @@
  * Failure containment mirrors the per-sim quarantine of runSupervised:
  * an exception escaping a leg marks that leg Failed in the
  * SweepManifest and the remaining legs still run. Cooperative
- * cancellation (SIGINT/SIGTERM or requestCancellation()) stops
- * dispatching new legs; already-running legs observe the same flag at
- * frame boundaries via their own supervised gates.
+ * cancellation (SIGINT/SIGTERM or requestCancellation()) marks every
+ * leg not yet started Cancelled; already-running legs observe the same
+ * flag at frame boundaries via their own supervised gates.
  *
  * See docs/parallelism.md for the full contract.
  */
@@ -59,23 +60,13 @@ struct LegResult
 {
     std::string name;
     LegOutcome outcome = LegOutcome::Cancelled;
-    std::string error;   ///< exception text when outcome == Failed
-    double wall_ms = 0.0; ///< leg wall time (diagnostic; never emitted)
+    std::string error; ///< exception text when outcome == Failed
 };
 
 /** Outcome summary for a whole sweep. */
 struct SweepManifest
 {
     std::vector<LegResult> legs;
-
-    bool allCompleted() const;
-
-    /**
-     * Write `leg,name,outcome,error` rows to @p path. Deliberately
-     * excludes timings so the file is byte-identical across thread
-     * counts and machines.
-     */
-    void writeCsv(const std::string &path) const;
 };
 
 /**
@@ -112,38 +103,30 @@ private:
 };
 
 /**
- * Work-stealing executor for independent sweep legs.
+ * Executor for independent sweep legs, one parallelFor() over them.
  *
  * Usage:
- *   SweepExecutor sweep(jobs);
+ *   SweepExecutor sweep(pool); // borrowed; null runs the legs serially
  *   sweep.addLeg("village/bilinear", [&](LegContext &ctx) { ... });
  *   SweepManifest manifest = sweep.run();
  *
- * jobs <= 1 runs every leg inline on the calling thread in
- * registration order — bit-for-bit the old serial program. jobs > 1
- * runs legs on a ThreadPool (its own, or a borrowed one); outputs are
- * emitted in registration order regardless of completion order, so
- * both modes produce identical bytes.
+ * The pool's workers and the thread calling run() take legs together,
+ * so run() may be called from a task of the same pool. Outputs are
+ * emitted in registration order whichever thread ran which leg, so a
+ * null pool and any pool produce identical bytes.
  */
 class SweepExecutor
 {
 public:
-    /** @p jobs 0 means ThreadPool::defaultJobs(). */
-    explicit SweepExecutor(unsigned jobs = 0);
-
     /**
      * Run the legs on @p pool (borrowed, so other work the legs submit
-     * shares its workers); null runs every leg inline.
+     * shares its workers) and the calling thread; null runs every leg
+     * inline in registration order.
      */
-    explicit SweepExecutor(ThreadPool *pool);
+    explicit SweepExecutor(ThreadPool *pool) : pool_(pool) {}
 
     /** Register a leg; legs run (or at least emit) in this order. */
     void addLeg(std::string name, std::function<void(LegContext &)> body);
-
-    /** Effective worker count. */
-    unsigned jobs() const { return jobs_; }
-
-    size_t legCount() const { return legs_.size(); }
 
     /**
      * Publish live per-leg status (pending/running/completed/...) to
@@ -158,7 +141,8 @@ public:
 
     /**
      * Run every leg and stream each leg's buffered console output to
-     * stdout in registration order. Returns the manifest; exceptions
+     * stdout in registration order: leg i prints as soon as it and
+     * every earlier leg finished. Returns the manifest; exceptions
      * from leg bodies are captured there, never thrown.
      */
     SweepManifest run();
@@ -172,8 +156,7 @@ private:
 
     void publishLegStatus(const std::vector<const char *> &status) const;
 
-    unsigned jobs_;
-    ThreadPool *pool_ = nullptr; ///< borrowed; null: run() owns one
+    ThreadPool *pool_; ///< borrowed; null: serial
     std::vector<Leg> legs_;
     TelemetryServer *telemetry_ = nullptr;
 };

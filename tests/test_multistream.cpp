@@ -18,7 +18,9 @@
  *    depend on --jobs;
  *  - tenants naming one workload share a single build of it, and the
  *    serve4 mix gives the rows and checkpoint bytes pinned from when
- *    every tenant built its own.
+ *    every tenant built its own;
+ *  - a round is atomic: cancellation requested before it still renders
+ *    every live tenant (it is seen only between rounds).
  */
 #include <gtest/gtest.h>
 
@@ -41,10 +43,29 @@
 #include "obs/trace_event.hpp"
 #include "sim/animation_driver.hpp"
 #include "sim/multi_stream_runner.hpp"
+#include "sim/span_pipe.hpp"
 #include "texture/procedural.hpp"
 #include "workload/registry.hpp"
 
 namespace mltc {
+
+/** Test-only access to a single serving round. */
+class MultiStreamRoundPeer
+{
+  public:
+    /** Run round 0 with the pipes and pool run() would give it. */
+    static void
+    runFirstRound(MultiStreamRunner &runner)
+    {
+        ThreadPool *pool = runner.pool_.get();
+        std::vector<std::unique_ptr<SpanPipe>> pipes;
+        for (auto &st : runner.streams_)
+            pipes.push_back(std::make_unique<SpanPipe>(
+                *st->sim, pool, annotate("leg:" + st->name)));
+        runner.runRound(0, AuditLevel::Off, pool, pipes);
+    }
+};
+
 namespace {
 
 // PID-suffixed: ctest runs test cases as parallel processes, so fixed
@@ -627,6 +648,54 @@ TEST(MultiStream, PerfbenchMixIsJobsInvariant)
         removeSnapshot(snap);
     }
     removeSnapshot(snap1);
+}
+
+TEST(MultiStream, CancelledBeforeARoundStillRendersEveryTenant)
+{
+    // Cancellation is seen only at superviseRun()'s step boundary, so a
+    // round that has begun renders every live tenant. Were a tenant
+    // skipped, its row would read 0 accesses, and a run interrupted and
+    // resumed would write different CSVs from an uninterrupted one.
+    MultiStreamConfig ms = base(L2SharePolicy::Utility);
+    ms.rounds = 1;
+    ms.streams = {spec("village", FilterMode::Bilinear),
+                  spec("city", FilterMode::Trilinear, 7),
+                  spec(kThrasherWorkload, FilterMode::Bilinear)};
+    for (unsigned jobs : {1u, 3u}) {
+        ms.jobs = jobs;
+        MultiStreamRunner whole(ms);
+        ASSERT_EQ(whole.run(ResilienceConfig{}).outcome,
+                  RunOutcome::Completed);
+
+        MultiStreamRunner cancelled(ms);
+        clearCancellation();
+        requestCancellation();
+        MultiStreamRoundPeer::runFirstRound(cancelled);
+        clearCancellation();
+
+        for (uint32_t i = 0; i < ms.streams.size(); ++i) {
+            const std::string ctx =
+                "jobs " + std::to_string(jobs) + ", stream " +
+                std::to_string(i);
+            ASSERT_EQ(whole.rows(i).size(), 1u) << ctx;
+            ASSERT_EQ(cancelled.rows(i).size(), 1u) << ctx;
+            const StreamRoundRow &x = whole.rows(i)[0];
+            const StreamRoundRow &y = cancelled.rows(i)[0];
+            EXPECT_GT(x.accesses, 0u) << ctx;
+            EXPECT_EQ(x.accesses, y.accesses) << ctx;
+            EXPECT_EQ(x.l1_misses, y.l1_misses) << ctx;
+            EXPECT_EQ(x.l2_full_hits, y.l2_full_hits) << ctx;
+            EXPECT_EQ(x.l2_partial_hits, y.l2_partial_hits) << ctx;
+            EXPECT_EQ(x.l2_full_misses, y.l2_full_misses) << ctx;
+            EXPECT_EQ(x.host_bytes, y.host_bytes) << ctx;
+            EXPECT_EQ(x.cross_evictions, y.cross_evictions) << ctx;
+            EXPECT_EQ(x.quota_blocks, y.quota_blocks) << ctx;
+            EXPECT_EQ(x.alloc_blocks, y.alloc_blocks) << ctx;
+            EXPECT_EQ(x.lod_bias, y.lod_bias) << ctx;
+            EXPECT_EQ(x.noisy, y.noisy) << ctx;
+            EXPECT_EQ(x.quarantined, y.quarantined) << ctx;
+        }
+    }
 }
 
 /** FNV-1a over every stream's rows, then over the checkpoint bytes. */

@@ -311,7 +311,8 @@ TEST(Profiler, InternIsStableAndOrdered)
     profiler.stopSampler();
 
     // JSON leg roll-up preserves first-intern order (registration
-    // order under SweepExecutor), not alphabetical order.
+    // order under SweepExecutor and MultiStreamRunner), not
+    // alphabetical order.
     const char *z = profiler.intern("leg:aaa_last_interned");
     (void)z;
     const JsonValue root = parseJson(profiler.liveJson());
