@@ -48,13 +48,15 @@ buildCity(const CityParams &params, ThreadPool *pool)
     auto street_z = std::make_shared<Mesh>(
         makeQuadXZ(6.0f, span_z * 1.1f, 1.0f, span_z * 0.15f));
     for (int j = 0; j <= params.blocks_z; ++j) {
-        float z = (static_cast<float>(j) - 0.5f * params.blocks_z) *
+        float z = (static_cast<float>(j) -
+                   0.5f * static_cast<float>(params.blocks_z)) *
                   params.block_spacing;
         scene.addObject(street_x, Mat4::translate({0.0f, 0.02f, z}), asphalt,
                         "street_x" + std::to_string(j));
     }
     for (int i = 0; i <= params.blocks_x; ++i) {
-        float x = (static_cast<float>(i) - 0.5f * params.blocks_x) *
+        float x = (static_cast<float>(i) -
+                   0.5f * static_cast<float>(params.blocks_x)) *
                   params.block_spacing;
         scene.addObject(street_z, Mat4::translate({x, 0.03f, 0.0f}), asphalt,
                         "street_z" + std::to_string(i));
@@ -69,10 +71,10 @@ buildCity(const CityParams &params, ThreadPool *pool)
     for (int j = 0; j < params.blocks_z; ++j) {
         for (int i = 0; i < params.blocks_x; ++i, ++index) {
             float x = (static_cast<float>(i) + 0.5f -
-                       0.5f * params.blocks_x) *
+                       0.5f * static_cast<float>(params.blocks_x)) *
                       params.block_spacing;
             float z = (static_cast<float>(j) + 0.5f -
-                       0.5f * params.blocks_z) *
+                       0.5f * static_cast<float>(params.blocks_z)) *
                       params.block_spacing;
             float height = rng.uniformf(10.0f, 48.0f);
             // Downtown core: taller towards the center.

@@ -118,7 +118,7 @@ exercise(Workload &wl, CacheSim &sim, int frames = 2)
 {
     for (int f = 0; f < frames; ++f) {
         for (TextureId tid = 1;
-             tid <= std::min<uint32_t>(2, wl.textures->textureCount());
+             tid <= std::min<size_t>(2, wl.textures->textureCount());
              ++tid) {
             sim.bindTexture(tid);
             const uint32_t mip = static_cast<uint32_t>(f) % 2;

@@ -473,8 +473,7 @@ class BatchSpanTest : public ::testing::Test
     {
         for (size_t i = 0; i < refs.size(); i += span_len) {
             const size_t n = std::min(span_len, refs.size() - i);
-            std::vector<TexelRef> span(refs.begin() + i,
-                                       refs.begin() + i + n);
+            const std::vector<TexelRef> span(&refs[i], &refs[i] + n);
             batched.accessBatch(span);
             replayPerTexel(reference, span);
         }
@@ -586,7 +585,8 @@ TEST_F(BatchSpanTest, TextureBindsBetweenSpans)
         batched.bindTexture(tid);
         reference.bindTexture(tid);
         const uint32_t dim = tid == tex ? 256 : 128;
-        const auto refs = randomRefs(100, dim, 1000 + round);
+        const auto refs =
+            randomRefs(100, dim, 1000 + static_cast<uint64_t>(round));
         batched.accessBatch(refs);
         replayPerTexel(reference, refs);
     }

@@ -22,7 +22,7 @@ TEST(Histogram, EmptyIsZero)
 TEST(Histogram, BasicStats)
 {
     Histogram h;
-    for (uint64_t v : {1, 2, 2, 3, 4})
+    for (uint64_t v : {1u, 2u, 2u, 3u, 4u})
         h.add(v);
     EXPECT_EQ(h.count(), 5u);
     EXPECT_EQ(h.max(), 4u);
@@ -45,7 +45,7 @@ TEST(Histogram, Percentiles)
 TEST(Histogram, CdfMonotone)
 {
     Histogram h;
-    for (uint64_t v : {0, 1, 1, 5, 9})
+    for (uint64_t v : {0u, 1u, 1u, 5u, 9u})
         h.add(v);
     EXPECT_DOUBLE_EQ(h.cdf(0), 0.2);
     EXPECT_DOUBLE_EQ(h.cdf(1), 0.6);

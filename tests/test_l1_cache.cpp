@@ -179,13 +179,13 @@ TEST_P(L1AssocTest, StatsAlwaysConsistent)
     EXPECT_EQ(cache.stats().misses, manual_misses);
 }
 
-INSTANTIATE_TEST_SUITE_P(Assoc, L1AssocTest,
-                         ::testing::Values(1u, 2u, 4u, 8u, 0u),
-                         [](const ::testing::TestParamInfo<uint32_t> &info) {
-                             return info.param == 0
-                                        ? std::string("full")
-                                        : std::to_string(info.param) + "way";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Assoc, L1AssocTest, ::testing::Values(1u, 2u, 4u, 8u, 0u),
+    [](const ::testing::TestParamInfo<uint32_t> &param_info) {
+        return param_info.param == 0
+                   ? std::string("full")
+                   : std::to_string(param_info.param) + "way";
+    });
 
 } // namespace
 } // namespace mltc

@@ -119,10 +119,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(L1Case{2 * 1024, 1, 4, 1}, L1Case{2 * 1024, 2, 4, 2},
                       L1Case{4 * 1024, 4, 4, 3}, L1Case{16 * 1024, 2, 4, 4},
                       L1Case{8 * 1024, 2, 8, 5}, L1Case{2 * 1024, 0, 4, 6}),
-    [](const ::testing::TestParamInfo<L1Case> &info) {
-        return "s" + std::to_string(info.param.size_bytes / 1024) + "k_a" +
-               std::to_string(info.param.assoc) + "_t" +
-               std::to_string(info.param.l1_tile);
+    [](const ::testing::TestParamInfo<L1Case> &param_info) {
+        return "s" + std::to_string(param_info.param.size_bytes / 1024) +
+               "k_a" + std::to_string(param_info.param.assoc) + "_t" +
+               std::to_string(param_info.param.l1_tile);
     });
 
 } // namespace

@@ -230,8 +230,8 @@ INSTANTIATE_TEST_SUITE_P(
     Policies, L2PolicyTest,
     ::testing::Values(ReplacementPolicy::Clock, ReplacementPolicy::Lru,
                       ReplacementPolicy::Fifo, ReplacementPolicy::Random),
-    [](const ::testing::TestParamInfo<ReplacementPolicy> &info) {
-        return replacementPolicyName(info.param);
+    [](const ::testing::TestParamInfo<ReplacementPolicy> &param_info) {
+        return replacementPolicyName(param_info.param);
     });
 
 } // namespace

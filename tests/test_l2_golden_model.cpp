@@ -158,11 +158,11 @@ INSTANTIATE_TEST_SUITE_P(
                       GoldenCase{16, 32, 4, 120, 4},
                       GoldenCase{16, 16, 8, 120, 5},
                       GoldenCase{8, 8, 4, 300, 6}),
-    [](const ::testing::TestParamInfo<GoldenCase> &info) {
-        return "b" + std::to_string(info.param.blocks) + "_t" +
-               std::to_string(info.param.l2_tile) + "_s" +
-               std::to_string(info.param.l1_tile) + "_n" +
-               std::to_string(info.param.table_span);
+    [](const ::testing::TestParamInfo<GoldenCase> &param_info) {
+        return "b" + std::to_string(param_info.param.blocks) + "_t" +
+               std::to_string(param_info.param.l2_tile) + "_s" +
+               std::to_string(param_info.param.l1_tile) + "_n" +
+               std::to_string(param_info.param.table_span);
     });
 
 } // namespace

@@ -132,7 +132,7 @@ TEST(MissClassifier, HandBuiltScenario)
  */
 struct GoldenClassifier
 {
-    explicit GoldenClassifier(size_t capacity) : capacity(capacity) {}
+    explicit GoldenClassifier(size_t lines) : capacity(lines) {}
 
     std::optional<MissClass>
     access(uint64_t key, bool real_hit)

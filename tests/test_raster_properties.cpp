@@ -109,10 +109,10 @@ INSTANTIATE_TEST_SUITE_P(
                       RasterCase{FilterMode::Trilinear, 64, 64},
                       RasterCase{FilterMode::Point, 96, 48},
                       RasterCase{FilterMode::Trilinear, 96, 48}),
-    [](const ::testing::TestParamInfo<RasterCase> &info) {
-        return std::string(filterModeName(info.param.filter)) + "_" +
-               std::to_string(info.param.width) + "x" +
-               std::to_string(info.param.height);
+    [](const ::testing::TestParamInfo<RasterCase> &param_info) {
+        return std::string(filterModeName(param_info.param.filter)) + "_" +
+               std::to_string(param_info.param.width) + "x" +
+               std::to_string(param_info.param.height);
     });
 
 } // namespace

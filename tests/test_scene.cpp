@@ -140,7 +140,7 @@ TEST(CameraPath, InterpolationIsContinuous)
     for (int i = 1; i <= 100; ++i) {
         Vec3 cur = path.sample(static_cast<float>(i) / 100.0f).eye;
         EXPECT_LT((cur - prev).length(), 1.0f)
-            << "discontinuity at t=" << i / 100.0f;
+            << "discontinuity at t=" << static_cast<float>(i) / 100.0f;
         prev = cur;
     }
 }

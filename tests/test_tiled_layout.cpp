@@ -228,10 +228,10 @@ INSTANTIATE_TEST_SUITE_P(
                       LayoutParam{128, 32, 4}, LayoutParam{128, 16, 8},
                       LayoutParam{256, 16, 4}, LayoutParam{256, 32, 8},
                       LayoutParam{512, 8, 8}, LayoutParam{32, 32, 4}),
-    [](const ::testing::TestParamInfo<LayoutParam> &info) {
-        return "s" + std::to_string(info.param.size) + "_l2t" +
-               std::to_string(info.param.l2_tile) + "_l1t" +
-               std::to_string(info.param.l1_tile);
+    [](const ::testing::TestParamInfo<LayoutParam> &param_info) {
+        return "s" + std::to_string(param_info.param.size) + "_l2t" +
+               std::to_string(param_info.param.l2_tile) + "_l1t" +
+               std::to_string(param_info.param.l1_tile);
     });
 
 } // namespace
