@@ -4,16 +4,11 @@
 #include <cstring>
 #include <thread>
 
+#include "build_provenance.hpp" // generated: MLTC_GIT_SHA, MLTC_BUILD_FLAGS
+
 namespace mltc {
 
 namespace {
-
-#ifndef MLTC_GIT_SHA
-#define MLTC_GIT_SHA "unknown"
-#endif
-#ifndef MLTC_BUILD_FLAGS
-#define MLTC_BUILD_FLAGS "unknown"
-#endif
 
 std::string
 compilerIdent()

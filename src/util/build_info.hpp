@@ -11,10 +11,13 @@
  *      "flags":"-O2 ... (Release)","cpu_model":"AMD EPYC ...",
  *      "cores":32}
  *
- * git SHA and flags are baked in at configure time (CMake injects
- * MLTC_GIT_SHA / MLTC_BUILD_FLAGS onto build_info.cpp; a stale
- * configure shows the SHA of the last cmake run, which is the honest
- * answer for an incremental build). Compiler identity comes from the
+ * git SHA and flags are baked in at configure time (CMake writes
+ * MLTC_GIT_SHA / MLTC_BUILD_FLAGS into a generated header that only
+ * build_info.cpp includes). The git HEAD, the ref it names and
+ * packed-refs are configure dependencies, so a commit or checkout
+ * reconfigures on the next build and only build_info.cpp recompiles;
+ * the SHA is HEAD at the last build, which need not match uncommitted
+ * edits. Compiler identity comes from the
  * compiler's own macros; CPU model and core count are read once at
  * runtime, so the same binary reports correctly when moved between
  * machines.
