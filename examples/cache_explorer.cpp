@@ -42,8 +42,9 @@
  * configuration as a simulator: each frame is rasterized once and fed
  * to all of them (the paper's method, §3.3). Parallelism
  * (docs/parallelism.md):
- *   --jobs=N   pool workers the simulators consume on, each through its
- *              own span pipe (default: MLTC_JOBS env, else hardware
+ *   --jobs=N   threads: the rasterizer's thread and N - 1 pool workers
+ *              the simulators consume on, each through its own span
+ *              pipe (default: MLTC_JOBS env, else hardware
  *              concurrency; --jobs 1 = the rasterizer's thread feeds
  *              them all). Output bytes are invariant to N: tables,
  *              metrics, MRC files and snapshots are identical for
@@ -379,9 +380,7 @@ main(int argc, char **argv)
     // built once (its textures synthesized on the pool) and each frame
     // rasterized once, then consumed by all of them (in parallel on the
     // pool with --jobs > 1).
-    std::unique_ptr<ThreadPool> pool;
-    if (jobs > 1)
-        pool = std::make_unique<ThreadPool>(jobs);
+    const std::unique_ptr<ThreadPool> pool = jobsPool(jobs);
     Workload wl = buildWorkload(workload, pool.get());
     MultiConfigRunner runner(wl, cfg, pool.get());
     for (const SweepCandidate &c : candidates)

@@ -26,14 +26,15 @@
  * (exit 2).
  *
  * Recording is a single pass; the replays are independent legs run on
- * the work-stealing pool (--jobs, default MLTC_JOBS env or hardware
- * concurrency — see docs/parallelism.md), which also synthesizes the
- * workload's textures. The workload is built once; each leg opens its
+ * --jobs threads (default MLTC_JOBS env or hardware concurrency): the
+ * calling thread and a work-stealing pool of --jobs - 1 workers, which
+ * also synthesize the workload's textures (docs/parallelism.md). The workload is built once; each leg opens its
  * own TraceReader over the recorded clip and replays into its own
  * simulator over that shared build, so output is byte-identical for
  * any worker count.
  * Every TraceReader decodes on one helper thread of its own, outside
- * the pool: --jobs 4 runs four decode threads beside the four workers.
+ * the pool: --jobs 4 replays four legs at once, each with its decode
+ * thread.
  *
  * With --mrc every replayed configuration carries a reuse-distance
  * profiler; per-candidate outputs are written to `BASE.<config>` bases.
@@ -125,9 +126,7 @@ main(int argc, char **argv)
 
     // One pool for the run: the workload build synthesizes its
     // textures on it and the replay legs run on it.
-    std::unique_ptr<ThreadPool> pool;
-    if (jobs > 1)
-        pool = std::make_unique<ThreadPool>(jobs);
+    const std::unique_ptr<ThreadPool> pool = jobsPool(jobs);
 
     // One build for the run: the recording renders it and every replay
     // leg reads it (docs/parallelism.md, rule 1).

@@ -73,9 +73,9 @@ public:
     void waitIdle();
 
     /**
-     * Worker count policy shared by every --jobs consumer: the MLTC_JOBS
+     * Thread count policy shared by every --jobs consumer: the MLTC_JOBS
      * environment variable when set to a positive integer, otherwise
-     * std::thread::hardware_concurrency() (minimum 1).
+     * std::thread::hardware_concurrency() (minimum 1). See jobsPool().
      */
     static unsigned defaultJobs();
 
@@ -101,6 +101,15 @@ private:
     size_t unfinished_ = 0; ///< tasks queued or currently running
     bool stop_ = false;
 };
+
+/**
+ * The pool for a run on @p jobs threads, the calling thread among
+ * them: jobs - 1 workers, or null when @p jobs <= 1, which runs
+ * everything on the calling thread. The caller is the last thread
+ * because it works too: it takes indices in parallelFor(), and it
+ * produces into (and, when the ring is full, drains) a SpanPipe.
+ */
+std::unique_ptr<ThreadPool> jobsPool(unsigned jobs);
 
 /**
  * Run @p body(i) for every i in [0, @p count), on @p pool's workers and
