@@ -7,7 +7,7 @@
 # results/final_csv/ against the fresh one. Skipped: perf_microbench
 # and ext_parallel_scaling, which only measure timing. A fresh CSV with
 # no committed copy is listed but not compared. Serial end to end: a
-# bench already spreads its legs over MLTC_JOBS workers (default: all
+# bench already spreads its legs over MLTC_JOBS threads (default: all
 # cores). Takes several minutes on 4 cores.
 #
 # Usage: scripts/check_golden_results.sh [build-dir]
